@@ -1,7 +1,8 @@
-"""Array-batched global routing (the ``numpy`` kernel backend).
+"""Array-batched global routing (:meth:`GlobalRouter.run`).
 
 The three router passes vectorize along different axes while keeping
-the reference engine's sequential arithmetic bit-for-bit:
+the sequential arithmetic of the scalar reference router (kept as a
+test oracle in ``tests/reference_kernels.py``) bit-for-bit:
 
 * **topology** — 2- and 3-pin nets (the overwhelming majority) get
   closed-form rectilinear MSTs evaluated as arrays; Prim's algorithm
@@ -130,7 +131,6 @@ def run_numpy(router, module: Module, include_clock: bool):
     with kernel("route.layer_assign"):
         order = np.argsort(lens_arr, kind="stable")
         sorted_len = lens_arr[order]
-        router._preferred_class(0.0)
         pref_code = np.where(
             sorted_len <= router._xover_local, 0,
             np.where(sorted_len <= router._xover_intermediate, 1, 2))

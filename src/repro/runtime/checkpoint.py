@@ -93,7 +93,7 @@ logger = logging.getLogger(__name__)
 
 # Bump when LayoutResult/ComparisonResult (or anything they embed)
 # changes shape: every existing checkpoint entry becomes invisible.
-SCHEMA_VERSION = 3   # 3: FlowConfig.router_detour_coeff + stage entries
+SCHEMA_VERSION = 4   # 4: FlowConfig lost its backend-selection field
 
 _MAGIC = b"repro-ckpt"
 

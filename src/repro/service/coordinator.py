@@ -300,10 +300,10 @@ class Coordinator:
         zero misses while still re-deriving a byte-identical result.
         """
         from repro.experiments.runner import flow_key
-        from repro.flow.design_flow import FlowConfig, run_flow
+        from repro.flow.design_flow import run_flow
         from repro.flow.export import layout_to_dict
 
-        config = FlowConfig(**params)
+        config = jobs_mod.flow_config(params)
         result = run_flow(config)
         payload = layout_to_dict(result)
         payload["flow_key"] = flow_key(config)
@@ -341,10 +341,9 @@ class Coordinator:
     def _run_dse(self, params: Dict[str, object]
                  ) -> Tuple[object, List[Dict[str, str]]]:
         from repro.dse import Axis, DseEngine, SweepSpace, make_strategy
-        from repro.flow.design_flow import FlowConfig
 
         space = SweepSpace(
-            FlowConfig(**params["base"]),
+            jobs_mod.flow_config(params["base"]),
             [Axis(name=name, values=tuple(values))
              for name, values in sorted(params["axes"].items())])
         engine = DseEngine(

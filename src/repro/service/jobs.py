@@ -77,13 +77,15 @@ def _known_nodes() -> Tuple[str, ...]:
 
 # -- parameter normalization ----------------------------------------------
 
-def _normalize_flow(params: Dict[str, object]) -> Dict[str, object]:
-    """Resolve a flow job to a full canonical ``FlowConfig`` dict.
+def flow_config(params: Dict[str, object]):
+    """Build the ``FlowConfig`` of a flow job's params.
 
     Values are coerced to the field's annotated type through the same
     :func:`repro.dse.space.coerce_field_value` the DSE axes use, so
     ``"scale": "0.1"`` and ``"scale": 0.1`` key identically — the
-    whole point of the canonical job key.
+    whole point of the canonical job key.  Any bad or unknown field
+    (including one a journal written by an older version still holds)
+    raises :class:`ServiceError`.
     """
     from repro.dse.space import coerce_field_value
     from repro.errors import DseError
@@ -103,7 +105,12 @@ def _normalize_flow(params: Dict[str, object]) -> Dict[str, object]:
     if config.node_name not in _known_nodes():
         raise ServiceError(f"unknown node {config.node_name!r}; "
                            f"known: {_known_nodes()}")
-    return asdict(config)
+    return config
+
+
+def _normalize_flow(params: Dict[str, object]) -> Dict[str, object]:
+    """Resolve a flow job to a full canonical ``FlowConfig`` dict."""
+    return asdict(flow_config(params))
 
 
 def _normalize_experiment(params: Dict[str, object]) -> Dict[str, object]:
@@ -124,23 +131,21 @@ def _normalize_dse(params: Dict[str, object]) -> Dict[str, object]:
     """Validate the space through the sweep registry; canonical values."""
     from repro.dse import Axis, SweepSpace
     from repro.errors import DseError
-    from repro.flow.design_flow import FlowConfig
 
     base_params = dict(params.get("base") or {})
     base_params.setdefault("circuit", params.get("circuit"))
-    base = _normalize_flow(base_params)
+    base_config = flow_config(base_params)
     axes_doc = params.get("axes")
     if not isinstance(axes_doc, dict) or not axes_doc:
         raise ServiceError("dse job needs 'axes': {field: [values, ...]}")
     try:
         axes = [Axis(name=name, values=tuple(values))
                 for name, values in sorted(axes_doc.items())]
-        space = SweepSpace(FlowConfig(**{
-            k: v for k, v in base.items()}), axes)
+        space = SweepSpace(base_config, axes)
     except DseError as exc:
         raise ServiceError(str(exc)) from None
     return {
-        "base": base,
+        "base": asdict(base_config),
         "axes": {axis.name: list(axis.values) for axis in space.axes},
         "objectives": list(params.get("objectives")
                            or ["power", "delay"]),

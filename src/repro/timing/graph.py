@@ -7,8 +7,7 @@ and primary outputs are endpoints.  Raises on combinational loops.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import List, Set
+from typing import List
 
 import numpy as np
 
@@ -16,75 +15,6 @@ from repro.errors import TimingError
 from repro.circuits.netlist import Module, PIN_DRIVER
 from repro.kernels.arrays import as_index, ranges
 from repro.obs import metrics as obs_metrics
-
-
-def levelize(module: Module, library) -> List[int]:
-    """Topological order (instance indices) of combinational cells.
-
-    Sequential cells are excluded: their Q pins act as sources with known
-    availability, their D pins as sinks.
-    """
-    obs_metrics.counter("sta.levelization_passes").inc()
-    is_seq = [library.cell(inst.cell_name).is_sequential
-              for inst in module.instances]
-    # In-degree = number of input nets driven by combinational cells.
-    indegree = [0] * len(module.instances)
-    ready = deque()
-    net_ready: Set[int] = set()
-    for net in module.nets:
-        if net.is_clock:
-            net_ready.add(net.index)
-            continue
-        drv = net.driver
-        if drv is None:
-            raise TimingError(f"net {net.name!r} has no driver")
-        if drv[0] == PIN_DRIVER or (drv[0] >= 0 and is_seq[drv[0]]):
-            net_ready.add(net.index)
-
-    comb_count = 0
-    for inst in module.instances:
-        if is_seq[inst.index]:
-            continue
-        comb_count += 1
-        cell = library.cell(inst.cell_name)
-        pending = 0
-        for pin_name, net_idx in inst.pin_nets.items():
-            pin = cell.pin(pin_name)
-            if pin.direction.value != "input":
-                continue
-            if net_idx not in net_ready:
-                pending += 1
-        indegree[inst.index] = pending
-        if pending == 0:
-            ready.append(inst.index)
-
-    order: List[int] = []
-    produced: Set[int] = set(net_ready)
-    while ready:
-        idx = ready.popleft()
-        order.append(idx)
-        inst = module.instances[idx]
-        cell = library.cell(inst.cell_name)
-        for pin_name, net_idx in inst.pin_nets.items():
-            if cell.pin(pin_name).direction.value != "output":
-                continue
-            if net_idx in produced:
-                continue
-            produced.add(net_idx)
-            for sink_idx, _sink_pin in module.nets[net_idx].sinks:
-                if sink_idx < 0 or is_seq[sink_idx]:
-                    continue
-                indegree[sink_idx] -= 1
-                if indegree[sink_idx] == 0:
-                    ready.append(sink_idx)
-    if len(order) != comb_count:
-        stuck = [module.instances[i].name
-                 for i in range(len(module.instances))
-                 if not is_seq[i] and indegree[i] > 0][:5]
-        raise TimingError(
-            f"combinational loop detected; unresolved instances include "
-            f"{stuck}")
-    return order
 
 
 def _gather_ragged(offsets: np.ndarray, flat: np.ndarray,
@@ -243,12 +173,12 @@ class CombGraph:
         return levels
 
 
-def levelize_levels(module: Module, library) -> List[np.ndarray]:
-    """Level-synchronous :func:`levelize`: instances grouped by depth.
+def levelize(module: Module, library) -> List[int]:
+    """Topological order (instance indices) of combinational cells.
 
-    Same graph, start points, and loop diagnostics as :func:`levelize`,
-    but the Kahn frontier advances one whole level per round so the
-    vectorized STA backend can propagate each level as one batch.  The
-    concatenation of the returned levels is a valid topological order.
+    Sequential cells are excluded: their Q pins act as sources with known
+    availability, their D pins as sinks.  The order is
+    :meth:`CombGraph.levels` flattened, level by level.
     """
-    return CombGraph(module, library).levels()
+    return [i for level in CombGraph(module, library).levels()
+            for i in level.tolist()]

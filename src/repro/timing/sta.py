@@ -23,10 +23,9 @@ from typing import Dict, Optional, Tuple
 
 from repro.errors import TimingError
 from repro.circuits.netlist import Module, Net, PO_SINK
-from repro.kernels import current_backend
-from repro.obs.trace import kernel
 from repro.timing.graph import levelize
 from repro.timing.netmodel import NetModel
+from repro.timing.sta_numpy import run_numpy
 
 LN2 = math.log(2.0)
 
@@ -96,97 +95,20 @@ class TimingAnalyzer:
         _r, c_wire = self.net_model.net_rc(net)
         return c_wire + self._sink_pin_cap_ff(net)
 
-    def _wire_delay_slew(self, net: Net, slew_in: float
-                         ) -> Tuple[float, float]:
-        r, c_wire = self.net_model.net_rc(net)
-        c_pins = self._sink_pin_cap_ff(net)
-        delay = LN2 * r * (c_wire / 2.0 + c_pins)
-        degraded = math.sqrt(slew_in * slew_in
-                             + (2.2 * r * (c_wire / 2.0 + c_pins)) ** 2)
-        return delay, degraded
-
     # -- main ---------------------------------------------------------------
 
     def run(self) -> TimingReport:
-        if current_backend() == "numpy":
-            from repro.timing.sta_numpy import run_numpy
-            return run_numpy(self)
-        module = self.module
-        library = self.library
-        with kernel("sta.levelize"):
-            order = levelize(module, library)
-        is_seq = [library.cell(i.cell_name).is_sequential
-                  for i in module.instances]
-
-        arrival: Dict[int, float] = {}
-        slew: Dict[int, float] = {}
-        loads: Dict[int, float] = {}
-
-        # Start points: primary inputs.
-        for net_idx in module.primary_inputs:
-            net = module.nets[net_idx]
-            if net.is_clock:
-                continue
-            wire_d, wire_s = self._wire_delay_slew(net, self.input_slew_ps)
-            arrival[net_idx] = wire_d
-            slew[net_idx] = wire_s
-
-        # Start points: sequential outputs (clk -> Q).
-        for inst in module.instances:
-            if not is_seq[inst.index]:
-                continue
-            cell = library.cell(inst.cell_name)
-            for pin_name, net_idx in inst.pin_nets.items():
-                if cell.pin(pin_name).direction.value != "output":
-                    continue
-                net = module.nets[net_idx]
-                load = self.net_load_ff(net)
-                loads[net_idx] = load
-                d = cell.delay_ps(DEFAULT_CLOCK_SLEW_PS, load)
-                s = cell.output_slew_ps(DEFAULT_CLOCK_SLEW_PS, load)
-                wire_d, wire_s = self._wire_delay_slew(net, s)
-                prev = arrival.get(net_idx, -1.0)
-                if d + wire_d > prev:
-                    arrival[net_idx] = d + wire_d
-                    slew[net_idx] = wire_s
-
-        # Combinational propagation.
-        with kernel("sta.propagate", instances=len(order)):
-            for inst_idx in order:
-                inst = module.instances[inst_idx]
-                cell = library.cell(inst.cell_name)
-                in_arrival = 0.0
-                in_slew = self.input_slew_ps
-                for pin_name, net_idx in inst.pin_nets.items():
-                    if cell.pin(pin_name).direction.value != "input":
-                        continue
-                    a = arrival.get(net_idx, 0.0)
-                    if a >= in_arrival:
-                        in_arrival = a
-                        in_slew = slew.get(net_idx, self.input_slew_ps)
-                for pin_name, net_idx in inst.pin_nets.items():
-                    if cell.pin(pin_name).direction.value != "output":
-                        continue
-                    net = module.nets[net_idx]
-                    load = self.net_load_ff(net)
-                    loads[net_idx] = load
-                    d = cell.delay_ps(in_slew, load)
-                    s = cell.output_slew_ps(in_slew, load)
-                    wire_d, wire_s = self._wire_delay_slew(net, s)
-                    a = in_arrival + d + wire_d
-                    if a > arrival.get(net_idx, -1.0):
-                        arrival[net_idx] = a
-                        slew[net_idx] = wire_s
-
-        return self._finish_report(arrival, slew, loads)
+        """Max-delay propagation and setup slacks (see
+        :mod:`repro.timing.sta_numpy` for the level-batched engine)."""
+        return run_numpy(self)
 
     def _finish_report(self, arrival: Dict[int, float],
                        slew: Dict[int, float],
                        loads: Dict[int, float]) -> TimingReport:
         """Endpoint slack / WNS / TNS from propagated arrivals.
 
-        Shared by both kernel backends so the endpoint accumulation
-        order (and therefore WNS ties and TNS summation) is identical.
+        Endpoints accumulate in instance order, then primary-output
+        order, which fixes WNS ties and the TNS summation order.
         """
         module = self.module
         library = self.library
@@ -316,10 +238,6 @@ class TimingAnalyzer:
         """Longest endpoint arrival (critical path delay), ps."""
         report = report or self.run()
         worst = 0.0
-        for (inst_idx, pin), slack in report.endpoint_slack_ps.items():
-            arrivalish = report.clock_ps - slack
-            if inst_idx >= 0:
-                worst = max(worst, arrivalish)
-            else:
-                worst = max(worst, arrivalish)
+        for slack in report.endpoint_slack_ps.values():
+            worst = max(worst, report.clock_ps - slack)
         return worst

@@ -1,12 +1,12 @@
-"""Level-batched STA propagation (the ``numpy`` kernel backend).
+"""Level-batched STA propagation (:meth:`TimingAnalyzer.run`).
 
 Propagates arrival/slew one topological level at a time: within a level
 the worst input arrival (and the slew of the pin that set it, with the
 reference engine's last-max-wins tie-break) is found by a padded-row
 max, and the NLDM lookups run as one batched bilinear interpolation per
 (level, cell name) group.  Every arithmetic expression mirrors the
-scalar engine in :mod:`repro.timing.sta` term for term, so arrivals,
-slews, and loads come out bit-identical to the pure-Python backend.
+scalar reference engine in ``tests/reference_kernels.py`` term for
+term, so arrivals, slews, and loads come out bit-identical to it.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def run_numpy(analyzer) -> "TimingReport":
     # propagate loop — wire RC, sink pin caps, NLDM table picks, level
     # batching plans — is hoisted here, charged to the same
     # ``sta.propagate`` span so the per-kernel accounting stays
-    # comparable across backends.
+    # comparable with the reference.
     order_len = int(sum(lvl.size for lvl in levels))
     with kernel("sta.propagate", instances=order_len):
         cell_names = graph.cell_names

@@ -1,12 +1,11 @@
-"""Full-flow parity between kernel backends.
+"""Full-flow parity between the vectorized kernels and the reference.
 
 The vectorized kernels are only trusted because a whole flow run is
-observably indistinguishable from the pure-Python reference: the same
-measured rows (and therefore the same golden row digests), the same
-audit findings, and the same structural trace shape.  These tests run
-one configuration under both backends and require byte-identical
-observables — the goldens/audit gates then hold under either backend
-for free.
+observably indistinguishable from one on the scalar reference kernels
+(``tests/reference_kernels.py``): the same measured rows (and therefore
+the same golden row digests), the same audit findings, and the same
+structural trace shape.  These tests run one configuration both ways
+and require byte-identical observables.
 """
 
 from __future__ import annotations
@@ -14,14 +13,19 @@ from __future__ import annotations
 import pytest
 
 from repro.check.goldens import row_digest
+from repro.flow import stagecache
 from repro.flow.design_flow import FlowConfig, run_flow
 from repro.obs.trace import Tracer, use_tracer
+from tests.reference_kernels import TARGETS, reference_kernels
+
+# The kernels a flow run reaches (characterization is cached with the
+# library; tests/test_kernel_equivalence.py covers that sweep).
+FLOW_KERNELS = ("place_global", "sta_run", "router_run")
 
 
-def _observe(circuit: str, scale: float, seed: int, backend: str,
-             is_3d: bool = False):
-    config = FlowConfig(circuit=circuit, scale=scale, seed=seed,
-                        is_3d=is_3d, kernel_backend=backend)
+def _observe(config: FlowConfig):
+    # A bound stage store would serve one run's stages to the other.
+    assert stagecache.active_store() is None
     tracer = Tracer()
     with use_tracer(tracer):
         result = run_flow(config)
@@ -30,8 +34,14 @@ def _observe(circuit: str, scale: float, seed: int, backend: str,
 
 def _assert_parity(circuit: str, scale: float, seed: int,
                    is_3d: bool = False) -> None:
-    rp, tp = _observe(circuit, scale, seed, "python", is_3d)
-    rn, tn = _observe(circuit, scale, seed, "numpy", is_3d)
+    config = FlowConfig(circuit=circuit, scale=scale, seed=seed,
+                        is_3d=is_3d)
+    with reference_kernels() as calls:
+        rp, tp = _observe(config)
+    # Each flow kernel really ran on the reference, so the comparison
+    # below is never numpy against numpy.
+    assert all(calls[name] > 0 for name in FLOW_KERNELS), calls
+    rn, tn = _observe(config)
 
     # Measured rows and their canonical digest (the goldens gate).
     assert rp.summary_row() == rn.summary_row()
@@ -69,3 +79,25 @@ def test_flow_parity_aes_2d_scaled_up():
 @pytest.mark.slow
 def test_flow_parity_des_3d():
     _assert_parity("des", scale=0.06, seed=2, is_3d=True)
+
+
+def test_reference_swap_restores_the_vectorized_kernels():
+    from repro.route.router import GlobalRouter
+    from repro.timing.sta import TimingAnalyzer
+
+    before = (GlobalRouter.run, TimingAnalyzer.run)
+    with reference_kernels():
+        assert GlobalRouter.run is not before[0]
+        assert TimingAnalyzer.run is not before[1]
+    assert (GlobalRouter.run, TimingAnalyzer.run) == before
+
+
+def test_reference_swap_fails_on_a_stale_target(monkeypatch):
+    import tests.reference_kernels as ref
+
+    monkeypatch.setattr(ref, "TARGETS", TARGETS + (
+        ("repro.timing.sta", "TimingAnalyzer.run_vectorized",
+         ref.sta_run),))
+    with pytest.raises(LookupError, match="run_vectorized"):
+        with ref.reference_kernels():
+            pass

@@ -1,11 +1,11 @@
-"""Differential tests: vectorized kernels vs their pure-Python references.
+"""Differential tests: vectorized kernels vs their scalar references.
 
-Every hot kernel keeps its scalar implementation as a selectable
-reference backend (``REPRO_KERNEL_BACKEND``); these tests pin the
-``numpy`` backend to it bit-for-bit on seeded inputs, plus property
-tests for the structural assumptions the vectorized code relies on
-(within-level permutation invariance of STA propagation, CG residuals
-against a direct solve, monotone router demand booking).
+Every hot kernel keeps its scalar implementation as a test oracle in
+``tests/reference_kernels.py``; these tests pin the vectorized kernel
+to it bit-for-bit on seeded inputs, plus property tests for the
+structural assumptions the vectorized code relies on (within-level
+permutation invariance of STA propagation, CG residuals against a
+direct solve, monotone router demand booking).
 """
 
 from __future__ import annotations
@@ -14,15 +14,12 @@ import numpy as np
 import pytest
 
 from repro.circuits.generators import generate_benchmark
-from repro.kernels import use_backend
 from repro.place.floorplan import Floorplan
 from repro.place import quadratic
 from repro.place.quadratic import (
-    _build_system,
     _cell_pin_adjacency,
     median_sweep,
     place_global,
-    quadratic_solve,
     spread,
 )
 from repro.place.quadratic_numpy import MedianPlan, PlacementSystem
@@ -31,9 +28,10 @@ from repro.route.grid import RoutingGrid
 from repro.tech.interconnect import InterconnectModel
 from repro.tech.metal import build_stack_2d, build_stack_tmi
 from repro.tech.node import get_node
-from repro.timing.graph import levelize, levelize_levels
+from repro.timing.graph import CombGraph
 from repro.timing.netmodel import PlacedNetModel
 from repro.timing.sta import TimingAnalyzer
+from tests import reference_kernels as ref
 
 
 @pytest.fixture(scope="module")
@@ -46,8 +44,7 @@ def aes_small(lib45_2d):
 @pytest.fixture(scope="module")
 def aes_placed(aes_small, lib45_2d):
     module, floorplan = aes_small
-    with use_backend("numpy"):
-        x, y = place_global(module, lib45_2d, floorplan)
+    x, y = place_global(module, lib45_2d, floorplan)
     for inst, xi, yi in zip(module.instances, x, y):
         inst.x_um = float(xi)
         inst.y_um = float(yi)
@@ -65,7 +62,7 @@ def _interconnect(is_3d: bool = False) -> InterconnectModel:
 
 def test_placement_system_matches_scalar_build(aes_small):
     module, floorplan = aes_small
-    lap_py, bx_py, by_py = _build_system(module, floorplan)
+    lap_py, bx_py, by_py = ref._build_system(module, floorplan)
     lap_np, bx_np, by_np = PlacementSystem(module, floorplan).build(
         None, None, quadratic.ANCHOR_WEIGHT)
     # Bit-exact: the batched assembly emits COO entries and replays the
@@ -82,10 +79,8 @@ def test_spread_bit_identical(aes_small, lib45_2d):
     rng = np.random.default_rng(11)
     x = rng.uniform(0.0, floorplan.width_um, len(module.instances))
     y = rng.uniform(0.0, floorplan.height_um, len(module.instances))
-    with use_backend("python"):
-        xp, yp = spread(module, lib45_2d, floorplan, x.copy(), y.copy())
-    with use_backend("numpy"):
-        xn, yn = spread(module, lib45_2d, floorplan, x.copy(), y.copy())
+    xp, yp = ref.spread(module, lib45_2d, floorplan, x.copy(), y.copy())
+    xn, yn = spread(module, lib45_2d, floorplan, x.copy(), y.copy())
     assert np.array_equal(xp, xn)
     assert np.array_equal(yp, yn)
 
@@ -97,21 +92,17 @@ def test_median_sweep_bit_identical(aes_small):
     y0 = rng.uniform(0.0, floorplan.height_um, len(module.instances))
     adjacency = _cell_pin_adjacency(module, floorplan)
     xp, yp = x0.copy(), y0.copy()
-    with use_backend("python"):
-        median_sweep(module, floorplan, xp, yp, adjacency, 3)
+    ref.median_sweep(module, floorplan, xp, yp, adjacency, 3)
     xn, yn = x0.copy(), y0.copy()
-    with use_backend("numpy"):
-        median_sweep(module, floorplan, xn, yn, MedianPlan(adjacency), 3)
+    median_sweep(module, floorplan, xn, yn, MedianPlan(adjacency), 3)
     assert np.array_equal(xp, xn)
     assert np.array_equal(yp, yn)
 
 
 def test_place_global_bit_identical(aes_small, lib45_2d):
     module, floorplan = aes_small
-    with use_backend("python"):
-        xp, yp = place_global(module, lib45_2d, floorplan)
-    with use_backend("numpy"):
-        xn, yn = place_global(module, lib45_2d, floorplan)
+    xp, yp = ref.place_global(module, lib45_2d, floorplan)
+    xn, yn = place_global(module, lib45_2d, floorplan)
     assert np.array_equal(xp, xn)
     assert np.array_equal(yp, yn)
 
@@ -119,9 +110,9 @@ def test_place_global_bit_identical(aes_small, lib45_2d):
 def test_cg_residual_bounded_by_direct_solve(aes_small):
     """Property: the CG placement solve stays near the exact solution."""
     module, floorplan = aes_small
-    lap, bx, _by = _build_system(module, floorplan)
-    with use_backend("python"):
-        x, _y = quadratic_solve(module, floorplan)
+    lap, bx, _by = ref._build_system(module, floorplan)
+    x, _y = quadratic.quadratic_solve(
+        module, floorplan, system=ref.ScalarPlacementSystem(module, floorplan))
     dense = lap.toarray()
     exact = np.linalg.solve(dense, bx)
     np.clip(exact, 0.0, floorplan.width_um, out=exact)
@@ -137,8 +128,8 @@ def test_cg_residual_bounded_by_direct_solve(aes_small):
 
 def test_levelize_levels_matches_levelize(aes_small, lib45_2d):
     module, floorplan = aes_small
-    order = levelize(module, lib45_2d)
-    levels = levelize_levels(module, lib45_2d)
+    order = ref.levelize(module, lib45_2d)
+    levels = CombGraph(module, lib45_2d).levels()
     flat = np.concatenate([lvl for lvl in levels]) if levels \
         else np.zeros(0, dtype=np.intp)
     assert sorted(flat.tolist()) == sorted(order)
@@ -197,15 +188,13 @@ def test_sta_run_bit_identical(aes_placed, lib45_2d):
     module, floorplan = aes_placed
     interconnect = _interconnect()
 
-    def run(backend):
-        with use_backend(backend):
-            model = PlacedNetModel(module, interconnect,
-                                   io_positions=floorplan.io_positions)
-            return TimingAnalyzer(module, lib45_2d, model,
-                                  clock_ns=2.0).run()
+    def run(engine):
+        model = PlacedNetModel(module, interconnect,
+                               io_positions=floorplan.io_positions)
+        return engine(TimingAnalyzer(module, lib45_2d, model, clock_ns=2.0))
 
-    rp = run("python")
-    rn = run("numpy")
+    rp = run(ref.sta_run)
+    rn = run(TimingAnalyzer.run)
     assert rp.arrival_ps == rn.arrival_ps
     assert rp.slew_ps == rn.slew_ps
     assert rp.load_ff == rn.load_ff
@@ -224,22 +213,20 @@ def test_propagate_invariant_to_within_level_order(aes_placed, lib45_2d,
     interconnect = _interconnect()
 
     def run():
-        with use_backend("python"):
-            model = PlacedNetModel(module, interconnect,
-                                   io_positions=floorplan.io_positions)
-            return TimingAnalyzer(module, lib45_2d, model,
-                                  clock_ns=2.0).run()
+        model = PlacedNetModel(module, interconnect,
+                               io_positions=floorplan.io_positions)
+        return ref.sta_run(TimingAnalyzer(module, lib45_2d, model,
+                                          clock_ns=2.0))
 
     baseline = run()
-    levels = levelize_levels(module, lib45_2d)
+    levels = CombGraph(module, lib45_2d).levels()
     rng = np.random.default_rng(7)
     shuffled = []
     for lvl in levels:
         perm = lvl.copy()
         rng.shuffle(perm)
         shuffled.extend(int(i) for i in perm)
-    monkeypatch.setattr("repro.timing.sta.levelize",
-                        lambda _m, _l: shuffled)
+    monkeypatch.setattr(ref, "levelize", lambda _m, _l: shuffled)
     permuted = run()
     assert permuted.arrival_ps == baseline.arrival_ps
     assert permuted.slew_ps == baseline.slew_ps
@@ -254,13 +241,9 @@ def test_router_run_bit_identical(aes_placed, lib45_2d, is_3d):
     module, floorplan = aes_placed
     interconnect = _interconnect(is_3d)
 
-    def run(backend):
-        with use_backend(backend):
-            router = GlobalRouter(lib45_2d, interconnect, floorplan)
-            return router.run(module)
-
-    rp = run("python")
-    rn = run("numpy")
+    router = GlobalRouter(lib45_2d, interconnect, floorplan)
+    rp = ref.router_run(router, module)
+    rn = router.run(module)
     assert rp.lengths_um == rn.lengths_um
     assert list(rp.lengths_um) == list(rn.lengths_um)
     assert rp.resistances_kohm == rn.resistances_kohm
@@ -305,8 +288,7 @@ def test_grid_demand_booking_is_monotone():
 def noc_placed(lib45_2d):
     module = generate_benchmark("noc", scale=0.05, seed=5)
     floorplan = Floorplan.for_module(module, lib45_2d, 0.75)
-    with use_backend("numpy"):
-        x, y = place_global(module, lib45_2d, floorplan)
+    x, y = place_global(module, lib45_2d, floorplan)
     for inst, xi, yi in zip(module.instances, x, y):
         inst.x_um = float(xi)
         inst.y_um = float(yi)
@@ -315,10 +297,8 @@ def noc_placed(lib45_2d):
 
 def test_noc_place_global_bit_identical(noc_placed, lib45_2d):
     module, floorplan = noc_placed
-    with use_backend("python"):
-        xp, yp = place_global(module, lib45_2d, floorplan)
-    with use_backend("numpy"):
-        xn, yn = place_global(module, lib45_2d, floorplan)
+    xp, yp = ref.place_global(module, lib45_2d, floorplan)
+    xn, yn = place_global(module, lib45_2d, floorplan)
     assert np.array_equal(xp, xn)
     assert np.array_equal(yp, yn)
 
@@ -327,15 +307,13 @@ def test_noc_sta_run_bit_identical(noc_placed, lib45_2d):
     module, floorplan = noc_placed
     interconnect = _interconnect()
 
-    def run(backend):
-        with use_backend(backend):
-            model = PlacedNetModel(module, interconnect,
-                                   io_positions=floorplan.io_positions)
-            return TimingAnalyzer(module, lib45_2d, model,
-                                  clock_ns=2.0).run()
+    def run(engine):
+        model = PlacedNetModel(module, interconnect,
+                               io_positions=floorplan.io_positions)
+        return engine(TimingAnalyzer(module, lib45_2d, model, clock_ns=2.0))
 
-    rp = run("python")
-    rn = run("numpy")
+    rp = run(ref.sta_run)
+    rn = run(TimingAnalyzer.run)
     assert rp.arrival_ps == rn.arrival_ps
     assert rp.slew_ps == rn.slew_ps
     assert rp.endpoint_slack_ps == rn.endpoint_slack_ps
@@ -347,13 +325,9 @@ def test_noc_router_run_bit_identical(noc_placed, lib45_2d):
     module, floorplan = noc_placed
     interconnect = _interconnect(is_3d=True)
 
-    def run(backend):
-        with use_backend(backend):
-            router = GlobalRouter(lib45_2d, interconnect, floorplan)
-            return router.run(module)
-
-    rp = run("python")
-    rn = run("numpy")
+    router = GlobalRouter(lib45_2d, interconnect, floorplan)
+    rp = ref.router_run(router, module)
+    rn = router.run(module)
     assert rp.lengths_um == rn.lengths_um
     assert rp.layer_class == rn.layer_class
     assert rp.total_wirelength_um == rn.total_wirelength_um
@@ -366,8 +340,7 @@ def test_noc_router_run_bit_identical(noc_placed, lib45_2d):
 def quad_placed(lib45_quad):
     module = generate_benchmark("aes", scale=0.05, seed=7)
     floorplan = Floorplan.for_module(module, lib45_quad, 0.75)
-    with use_backend("numpy"):
-        x, y = place_global(module, lib45_quad, floorplan)
+    x, y = place_global(module, lib45_quad, floorplan)
     for inst, xi, yi in zip(module.instances, x, y):
         inst.x_um = float(xi)
         inst.y_um = float(yi)
@@ -385,14 +358,10 @@ def test_quad_tier_router_with_koz_derate_bit_identical(quad_placed,
     scale = routing_capacity_scale(get_node("45nm"), 1.0, 4)
     assert scale < 1.0
 
-    def run(backend):
-        with use_backend(backend):
-            router = GlobalRouter(lib45_quad, interconnect, floorplan,
-                                  capacity_scale=scale)
-            return router.run(module)
-
-    rp = run("python")
-    rn = run("numpy")
+    router = GlobalRouter(lib45_quad, interconnect, floorplan,
+                          capacity_scale=scale)
+    rp = ref.router_run(router, module)
+    rn = router.run(module)
     assert rp.lengths_um == rn.lengths_um
     assert rp.layer_class == rn.layer_class
     assert rp.total_wirelength_um == rn.total_wirelength_um
@@ -405,15 +374,13 @@ def test_quad_tier_sta_run_bit_identical(quad_placed, lib45_quad):
     module, floorplan = quad_placed
     interconnect = _interconnect(is_3d=True)
 
-    def run(backend):
-        with use_backend(backend):
-            model = PlacedNetModel(module, interconnect,
-                                   io_positions=floorplan.io_positions)
-            return TimingAnalyzer(module, lib45_quad, model,
-                                  clock_ns=2.0).run()
+    def run(engine):
+        model = PlacedNetModel(module, interconnect,
+                               io_positions=floorplan.io_positions)
+        return engine(TimingAnalyzer(module, lib45_quad, model, clock_ns=2.0))
 
-    rp = run("python")
-    rn = run("numpy")
+    rp = run(ref.sta_run)
+    rn = run(TimingAnalyzer.run)
     assert rp.arrival_ps == rn.arrival_ps
     assert rp.slew_ps == rn.slew_ps
     assert rp.wns_ps == rn.wns_ps
@@ -437,10 +404,10 @@ def test_mna_characterization_bit_identical():
     parasitics = extract_cell(build_cell_geometry_2d(nl, NODE_45NM),
                               ExtractionMode.FLAT)
     setup = CharacterizationSetup(node=NODE_45NM)
-    with use_backend("python"):
+    with ref.reference_kernels() as calls:
         cp = characterize_cell(nl, parasitics, setup)
-    with use_backend("numpy"):
-        cn = characterize_cell(nl, parasitics, setup)
+    assert calls["sweep_grid"] == 1
+    cn = characterize_cell(nl, parasitics, setup)
     ap, an = cp.worst_arc(), cn.worst_arc()
     assert np.array_equal(ap.delay.values, an.delay.values)
     assert np.array_equal(ap.output_slew.values, an.output_slew.values)
@@ -465,10 +432,10 @@ def test_mna_characterization_bit_identical_sequential():
     parasitics = extract_cell(build_cell_geometry_2d(nl, NODE_45NM),
                               ExtractionMode.FLAT)
     setup = CharacterizationSetup(node=NODE_45NM)
-    with use_backend("python"):
+    with ref.reference_kernels() as calls:
         cp = characterize_cell(nl, parasitics, setup)
-    with use_backend("numpy"):
-        cn = characterize_cell(nl, parasitics, setup)
+    assert calls["sweep_grid"] == 1
+    cn = characterize_cell(nl, parasitics, setup)
     ap, an = cp.worst_arc(), cn.worst_arc()
     assert np.array_equal(ap.delay.values, an.delay.values)
     assert np.array_equal(ap.output_slew.values, an.output_slew.values)

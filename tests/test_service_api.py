@@ -61,10 +61,46 @@ def test_unknown_kind_and_bad_params_are_400(service_client):
     with pytest.raises(ServiceError, match="400"):
         service_client.submit("flow", {"circuit": "fpu",
                                        "no_such_field": 1})
+    # A field FlowConfig dropped: rejected by name, not queued.
+    with pytest.raises(ServiceError, match="400.*kernel_backend"):
+        service_client.submit("flow", {"circuit": "fpu",
+                                       "kernel_backend": "numpy"})
     with pytest.raises(ServiceError, match="400"):
         service_client.submit("experiment", {"id": "table99"})
     with pytest.raises(ServiceError, match="400"):
         service_client.submit("dse", {"circuit": "fpu", "axes": {}})
+
+
+def test_journaled_stale_params_fail_as_service_errors(service_factory,
+                                                       tmp_path):
+    # A journal written before the field was dropped: one queued flow
+    # job and one queued DSE job whose params still carry it.  Replay
+    # must fail both cleanly (ServiceError), not as a "bug:" TypeError.
+    _, params = normalize("flow", {"circuit": "fpu", "scale": SCALE})
+    flow_params = dict(params, kernel_backend="python")
+    dse_params = {"base": dict(flow_params),
+                  "axes": {"pin_cap_scale": [0.8, 1.0]},
+                  "objectives": ["power", "delay"], "strategy": "grid",
+                  "budget": None}
+    journal = tmp_path / "queue" / "jobs.jsonl"
+    journal.parent.mkdir(parents=True)
+    lines = []
+    for key, kind, job_params in (("a" * 64, "flow", flow_params),
+                                  ("b" * 64, "dse", dse_params)):
+        lines.append(json.dumps({
+            "t": 0.0, "event": "submit", "params": job_params,
+            "job": {"key": key, "kind": kind, "state": "queued",
+                    "submissions": 1, "runs": 0}}))
+    journal.write_text("\n".join(lines) + "\n")
+
+    service = service_factory(data_dir=tmp_path)
+    client = ServiceClient(service.url)
+    for key in ("a" * 64, "b" * 64):
+        record = client.wait(key, timeout_s=60)
+        assert record["state"] == STATE_FAILED
+        assert record["error"] == "ServiceError"
+        assert "kernel_backend" in record["message"]
+        assert not record["message"].startswith("bug:")
 
 
 def test_non_json_body_is_400(service_session):
