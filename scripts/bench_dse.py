@@ -41,15 +41,14 @@ ACTIVITY_VALUES = (0.1, 0.2, 0.3)
 
 def _naive(points, objectives) -> tuple:
     """One cold, isolated flow per point: no store, no memo, no dedup."""
-    from repro.experiments import runner
     from repro.flow.design_flow import run_flow
+    from repro.session import Session, scope
 
     vectors = []
     start = time.perf_counter()
     for config in points:
-        runner.clear_caches()
-        runner.disable_persistent_cache()
-        result = run_flow(config)
+        with scope(Session()):
+            result = run_flow(config)
         vectors.append([objective.value(result)
                         for objective in objectives])
     return time.perf_counter() - start, vectors
@@ -57,12 +56,11 @@ def _naive(points, objectives) -> tuple:
 
 def _engine(space, names) -> tuple:
     from repro.dse import DseEngine
-    from repro.experiments import runner
+    from repro.session import Session, scope
 
-    runner.clear_caches()
-    runner.disable_persistent_cache()
     start = time.perf_counter()
-    result = DseEngine(space, objectives=names).explore()
+    with scope(Session()):
+        result = DseEngine(space, objectives=names).explore()
     wall = time.perf_counter() - start
     vectors = [[point.objectives[name] for name in names]
                for point in result.points]

@@ -32,7 +32,9 @@ from repro.cli import main as cli_main                      # noqa: E402
 from repro.experiments import runner                        # noqa: E402
 from repro.flow.design_flow import FlowConfig, run_flow     # noqa: E402
 from repro.parallel import TaskGraph, flow_task             # noqa: E402
+from repro.runtime.checkpoint import CheckpointStore        # noqa: E402
 from repro.runtime.faults import FsFaultSpec                # noqa: E402
+from repro.session import Session, scope                    # noqa: E402
 
 # Each worker re-installs this plan per task: its first store write is
 # torn, its second bit-flipped, the first lock acquisition is skipped,
@@ -66,28 +68,27 @@ def main(argv=None) -> int:
     configs = _configs(args.scale)
 
     print(f"[chaos] sequential reference: {len(configs)} flow run(s)")
-    runner.clear_caches()
-    runner.disable_persistent_cache()
-    reference = _digest([run_flow(config).summary_row()
-                         for config in configs])
-    runner.clear_caches()
+    with scope(Session()):
+        reference = _digest([run_flow(config).summary_row()
+                             for config in configs])
 
     with tempfile.TemporaryDirectory(prefix="repro-chaos-") as store_dir:
         print(f"[chaos] fault-injected -j {args.jobs} session "
               f"({len(FAULT_MATRIX)} fault kind(s) per worker task)")
-        store = runner.use_persistent_cache(store_dir)
-        graph = TaskGraph([flow_task(config) for config in configs])
-        report = runner.prefetch(graph, jobs=args.jobs,
-                                 worker_faults=FAULT_MATRIX)
-        failed = [r for r in report.records if r.status != "ok"]
-        if failed:
-            for record in failed:
-                print(f"[chaos] FAILED task {record.label}: "
-                      f"{record.error}: {record.message}", file=sys.stderr)
-            return 1
-        chaotic = _digest([runner.cached_flow(config).summary_row()
-                           for config in configs])
-        runner.disable_persistent_cache()
+        store = CheckpointStore(Path(store_dir))
+        with scope(Session(store=store)):
+            graph = TaskGraph([flow_task(config) for config in configs])
+            report = runner.prefetch(graph, jobs=args.jobs,
+                                     worker_faults=FAULT_MATRIX)
+            failed = [r for r in report.records if r.status != "ok"]
+            if failed:
+                for record in failed:
+                    print(f"[chaos] FAILED task {record.label}: "
+                          f"{record.error}: {record.message}",
+                          file=sys.stderr)
+                return 1
+            chaotic = _digest([runner.cached_flow(config).summary_row()
+                               for config in configs])
 
         if chaotic != reference:
             print("[chaos] row digests DIFFER from sequential",

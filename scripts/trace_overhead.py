@@ -3,7 +3,7 @@
 
 Runs the same seeded flow ``--repeats`` times with observability off and
 ``--repeats`` times with the full stack on (tracer + metrics registry +
-profiler — what ``repro --profile`` installs), compares **best-of-N**
+profiler — the session ``repro --profile`` runs under), compares **best-of-N**
 wall clocks (the minimum is the least noise-sensitive estimator for a
 deterministic workload), and exits nonzero when the relative overhead
 exceeds ``--budget-pct`` (default 5 %, the budget documented in
@@ -32,14 +32,8 @@ from repro.flow.design_flow import (         # noqa: E402
     library_for,
     run_flow,
 )
-from repro.obs import (                      # noqa: E402
-    MetricsRegistry,
-    Profiler,
-    Tracer,
-    use_metrics,
-    use_profiler,
-    use_tracer,
-)
+from repro.obs import MetricsRegistry, Profiler, Tracer  # noqa: E402
+from repro.session import scope                            # noqa: E402
 
 
 def best_of(repeats: int, fn) -> float:
@@ -74,12 +68,11 @@ def main(argv=None) -> int:
         run_flow(config)
 
     def traced():
-        tracer = Tracer()
-        with use_tracer(tracer), use_metrics(MetricsRegistry()), \
-                use_profiler(Profiler()) as profiler:
+        with scope(tracer=Tracer(), metrics=MetricsRegistry(),
+                   profiler=Profiler()) as session:
             run_flow(config)
-            profiler.close()
-        n_spans["n"] = len(tracer.snapshot())
+            session.profiler.close()
+        n_spans["n"] = len(session.tracer.snapshot())
 
     untraced()                                     # untimed warm-up
     base_s = best_of(args.repeats, untraced)

@@ -38,6 +38,7 @@ from repro.check.power import check_power
 from repro.check.routing import check_routing
 from repro.check.timing import check_timing
 from repro.errors import NetlistError
+from repro.session import current, scope
 
 INJECTION_KINDS = ("overlap", "open", "short", "timing", "power")
 
@@ -60,28 +61,22 @@ class FlowArtifacts:
     label: str = ""           # run label, e.g. "aes@45nm-2D"
 
 
-# Active capture buckets; run_flow deposits into every open scope.
-_COLLECTORS: List[List[FlowArtifacts]] = []
-
-
 @contextmanager
 def capture_artifacts() -> Iterator[List[FlowArtifacts]]:
-    """Collect the FlowArtifacts of every run_flow call in this scope."""
+    """Collect the FlowArtifacts of every run_flow call in this scope
+    (the bucket is one of the session's collectors for the block)."""
     bucket: List[FlowArtifacts] = []
-    _COLLECTORS.append(bucket)
-    try:
+    with scope(collectors=current().collectors + (bucket,)):
         yield bucket
-    finally:
-        _COLLECTORS.remove(bucket)
 
 
 def collecting() -> bool:
-    return bool(_COLLECTORS)
+    return bool(current().collectors)
 
 
 def deposit(artifacts: FlowArtifacts) -> None:
     """Called by run_flow at the end of each run while capturing."""
-    for bucket in _COLLECTORS:
+    for bucket in current().collectors:
         bucket.append(artifacts)
 
 

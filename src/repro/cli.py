@@ -74,7 +74,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.cells.folding import FOLD_STYLES
 from repro.circuits.generators import BENCHMARKS
@@ -162,8 +162,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _prefetch_for(ids, jobs: int,
-                  backend: Optional[str] = None) -> Optional[object]:
+def _prefetch_for(ids, jobs: int) -> Optional[object]:
     """Run the deduplicated task graph of ``ids`` on ``jobs`` workers."""
     from repro.experiments import runner
     from repro.parallel import build_plan
@@ -171,7 +170,7 @@ def _prefetch_for(ids, jobs: int,
     graph = build_plan(ids)
     if not graph.tasks and not graph.deferred:
         return None
-    report = runner.prefetch(graph, jobs=jobs, backend=backend)
+    report = runner.prefetch(graph, jobs=jobs)
     summary = report.summary()
     print(f"[parallel] {summary['tasks']} task(s) on {summary['jobs']} "
           f"worker(s) in {summary['wall_s']:.1f} s "
@@ -210,8 +209,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         print(f"unknown experiment {args.id!r}; known: {known}",
               file=sys.stderr)
         return 2
-    if args.jobs > 1 or args.backend:
-        _prefetch_for([key], args.jobs, args.backend)
+    if args.jobs > 1:
+        _prefetch_for([key], args.jobs)
     _run_one_experiment(key)
     return _report_session_errors()
 
@@ -269,8 +268,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             obs_metrics.use_metrics(
                 obs_metrics.MetricsRegistry()) as registry, \
             obs_profile.use_profiler(obs_profile.Profiler()) as profiler:
-        if args.jobs > 1 or args.backend:
-            _prefetch_for([key], args.jobs, args.backend)
+        if args.jobs > 1:
+            _prefetch_for([key], args.jobs)
         if args.json:
             # Pure-JSON stdout: run silently, emit one document.
             module = importlib.import_module(
@@ -311,8 +310,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return 2
 
     start = time.perf_counter()
-    engine_report = (_prefetch_for(ids, args.jobs, args.backend)
-                     if args.jobs > 1 or args.backend else None)
+    engine_report = (_prefetch_for(ids, args.jobs)
+                     if args.jobs > 1 else None)
     digests = {}
     for experiment_id in ids:
         rows = _run_one_experiment(experiment_id)
@@ -424,8 +423,8 @@ def _cmd_goldens(args: argparse.Namespace) -> int:
         print(f"unknown experiment id(s) {unknown}; known: {known}",
               file=sys.stderr)
         return 2
-    if args.jobs > 1 or args.backend:
-        _prefetch_for(ids, args.jobs, args.backend)
+    if args.jobs > 1:
+        _prefetch_for(ids, args.jobs)
     directory = Path(args.dir) if args.dir else None
 
     failed = False
@@ -725,15 +724,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         store_dir=(Path(args.checkpoint_dir)
                    if getattr(args, "checkpoint_dir", None) else None),
         jobs=args.jobs,
-        backend=args.backend,
     )
     service = ReproService(config)
     service.start()
     print(f"repro service listening on {service.url}", file=sys.stderr)
     print(f"  data dir:  {service.data_dir}", file=sys.stderr)
     print(f"  store:     {service.store.root}", file=sys.stderr)
-    print(f"  backend:   {args.backend or 'auto'}  jobs: {args.jobs}",
-          file=sys.stderr)
+    print(f"  jobs:      {args.jobs}", file=sys.stderr)
     print("  try:       curl -s -X POST "
           f"{service.url}/jobs -d '{{\"kind\": \"flow\", \"params\": "
           "{\"circuit\": \"fpu\", \"scale\": 0.05}}'", file=sys.stderr)
@@ -757,12 +754,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the session's deduplicated task graph "
                              "on N worker processes before assembling "
                              "rows (1 = sequential)")
-    parser.add_argument("--backend", default=None,
-                        choices=["serial", "thread", "process"],
-                        help="execution backend for the task graph "
-                             "(default: process when --jobs > 1, else "
-                             "serial); all backends produce identical "
-                             "results")
     parser.add_argument("--resume", action="store_true",
                         help="persist/reuse flow results in the on-disk "
                              "checkpoint store")
@@ -1002,45 +993,42 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _configure_runtime(args: argparse.Namespace):
-    """Apply the resilience flags; returns a context for the invocation."""
+    """The invocation's session, from the resilience and observability
+    flags; returns a context that runs the command under it."""
     from contextlib import ExitStack
 
-    from repro.experiments import runner
     from repro.runtime.checkpoint import CheckpointStore
-    from repro.runtime.supervisor import (
-        StagePolicy,
-        StageSupervisor,
-        use_supervisor,
-    )
+    from repro.runtime.supervisor import StagePolicy, StageSupervisor
+    from repro.session import scope
 
-    # A CLI invocation starts a fresh session: reset any state left by a
-    # previous in-process call (tests call main() repeatedly).
-    runner.clear_session_errors()
-    runner.clear_task_failures()
-    runner.set_keep_going(bool(args.keep_going))
     if args.fresh:
         store = CheckpointStore(args.checkpoint_dir)
         n = store.clear()
         print(f"cleared {n} checkpoint entr(ies) from {store.root}",
               file=sys.stderr)
-    if args.resume:
-        runner.use_persistent_cache(args.checkpoint_dir)
-    else:
-        runner.disable_persistent_cache()
-    stack = ExitStack()
+    # Each invocation starts with no failure records or row errors (tests
+    # call main() repeatedly in one process); the memos carry over.
+    changes: Dict[str, object] = {
+        "store": (CheckpointStore(args.checkpoint_dir)
+                  if args.resume else None),
+        "keep_going": bool(args.keep_going),
+        "failed_tasks": {},
+        "errors": [],
+    }
     if args.timeout is not None:
-        stack.enter_context(use_supervisor(StageSupervisor(
-            default_policy=StagePolicy(timeout_s=args.timeout))))
-    if args.profile or args.trace_out:
-        tracer = stack.enter_context(obs_trace.use_tracer(
-            obs_trace.Tracer()))
-        registry = stack.enter_context(obs_metrics.use_metrics(
-            obs_metrics.MetricsRegistry()))
-        profiler = stack.enter_context(obs_profile.use_profiler(
-            obs_profile.Profiler()))
-        # LIFO: runs when the command is done, before the contexts pop.
-        stack.callback(_finish_observability, args, tracer, registry,
-                       profiler)
+        changes["supervisor"] = StageSupervisor(
+            default_policy=StagePolicy(timeout_s=args.timeout))
+    observed = args.profile or args.trace_out
+    if observed:
+        changes.update(tracer=obs_trace.Tracer(),
+                       metrics=obs_metrics.MetricsRegistry(),
+                       profiler=obs_profile.Profiler())
+    stack = ExitStack()
+    session = stack.enter_context(scope(**changes))
+    if observed:
+        # LIFO: runs when the command is done, before the scope exits.
+        stack.callback(_finish_observability, args, session.tracer,
+                       session.metrics, session.profiler)
     return stack
 
 

@@ -19,8 +19,9 @@ planner, and ``--jobs`` fans a round out over the worker pool via
 :func:`repro.experiments.runner.prefetch`), and results come back
 through :func:`~repro.experiments.runner.cached_flow` — the same
 cache the tables read, warm stage checkpoints and all.  The engine
-binds an ephemeral checkpoint store for the session when none is
-active, so stage-level reuse works even without ``--resume``.
+runs under a session with an ephemeral checkpoint store when the
+current session has none, so stage-level reuse works even without
+``--resume``.
 
 The final **provenance pass** re-runs every frontier member through
 ``run_flow`` against the warm stage store and records its per-point
@@ -39,6 +40,7 @@ import shutil
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.dse.cost import CostFunction, Objective, resolve_objectives
@@ -47,6 +49,8 @@ from repro.dse.space import SweepSpace
 from repro.errors import DseError, ReproError, TaskFailedError
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
+from repro.runtime.checkpoint import CheckpointStore
+from repro.session import current, scope
 
 SOURCE_GRID = "grid"
 SOURCE_REFINE = "refine"
@@ -207,24 +211,21 @@ class DseEngine:
 
     @contextmanager
     def _session_store(self) -> Iterator[None]:
-        """Ensure a checkpoint store is bound for the exploration.
+        """Ensure the session has a checkpoint store for the exploration.
 
         Stage-level reuse (and the provenance pass) need a store; when
         the session already runs one (``--resume``), use it — warm
         entries from earlier sessions are free evaluations.  Otherwise
-        bind an ephemeral store for the exploration and remove it after.
+        enter a session with an ephemeral store and remove it after.
         """
-        from repro.experiments import runner
-
-        if runner.persistent_store() is not None:
+        if current().store is not None:
             yield
             return
         root = tempfile.mkdtemp(prefix="repro-dse-")
-        runner.use_persistent_cache(root)
         try:
-            yield
+            with scope(store=CheckpointStore(Path(root))):
+                yield
         finally:
-            runner.disable_persistent_cache()
             shutil.rmtree(root, ignore_errors=True)
 
     # -- exploration -------------------------------------------------------

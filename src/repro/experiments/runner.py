@@ -2,19 +2,19 @@
 
 A bench session touches many tables that share the same underlying layout
 runs (e.g. Tables 4, 13, 16 and Fig. 3 all need the 45 nm comparisons).
-Results are memoized at two levels:
+Results are memoized at two levels, both held by the run session
+(:mod:`repro.session`):
 
-* **in-process** — dicts keyed by the canonical config hash from
-  :mod:`repro.runtime.checkpoint` (the old
-  ``tuple(sorted(asdict(config).items()))`` keys raised ``TypeError``
-  the moment a config grew a dict- or list-valued field);
-* **on disk** (opt-in via :func:`use_persistent_cache`, the CLI's
-  ``--resume``) — a :class:`repro.runtime.CheckpointStore`, so a bench
-  session killed mid-experiment resumes without recomputing any
-  completed run.
+* **in-process** — the session's ``comparisons``/``flows`` dicts, keyed
+  by the canonical config hash from :mod:`repro.runtime.checkpoint`
+  (the old ``tuple(sorted(asdict(config).items()))`` keys raised
+  ``TypeError`` the moment a config grew a dict- or list-valued field);
+* **on disk** (when the session has a store: the CLI's ``--resume``) —
+  a :class:`repro.runtime.CheckpointStore`, so a bench session killed
+  mid-experiment resumes without recomputing any completed run.
 
-The module also carries the session's **graceful-degradation policy**
-(:func:`set_keep_going`, the CLI's ``--keep-going``): experiment drivers
+The session also carries the **graceful-degradation policy** (its
+``keep_going`` flag, the CLI's ``--keep-going``): experiment drivers
 route their per-row work through :func:`resilient_rows`, which under
 keep-going converts a failed row into an error-marked row plus a session
 error record instead of aborting the whole bench session.
@@ -39,10 +39,10 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Union
 
 from repro.errors import ReproError, TaskFailedError
-from repro.flow import stagecache
 from repro.flow.compare import ComparisonResult, run_iso_performance_comparison
 from repro.flow.design_flow import FlowConfig, LayoutResult, run_flow
 from repro.runtime.checkpoint import CheckpointStore, config_key
+from repro.session import current
 
 logger = logging.getLogger(__name__)
 
@@ -58,12 +58,6 @@ DEFAULT_SCALES: Dict[str, float] = {
     # ~5.6k cells — comparable to the scaled paper netlists above.
     "noc": 0.1,
 }
-
-_COMPARISON_CACHE: Dict[str, ComparisonResult] = {}
-_FLOW_CACHE: Dict[str, LayoutResult] = {}
-
-# Persistent checkpoint store; None means in-process memoization only.
-_STORE: Optional[CheckpointStore] = None
 
 
 def default_scale(circuit: str) -> float:
@@ -90,75 +84,16 @@ def comparison_key(circuit: str, node_name: str, scale: float,
 
 # -- persistent store -----------------------------------------------------
 
-def use_persistent_cache(path: Union[str, Path, None] = None
-                         ) -> CheckpointStore:
-    """Enable the on-disk checkpoint store (the ``--resume`` path).
-
-    The same store also backs the stage-level incremental cache
-    (:mod:`repro.flow.stagecache`), so a whole-run miss can still reuse
-    every stage checkpoint an earlier, slightly different run left.
-    """
-    global _STORE
-    _STORE = CheckpointStore(Path(path) if path is not None else None)
-    stagecache.use_store(_STORE)
-    return _STORE
-
-
-def bind_store(store: Optional[CheckpointStore]
-               ) -> Optional[CheckpointStore]:
-    """Bind an existing store *instance* as the session cache.
-
-    Unlike :func:`use_persistent_cache` this does not construct a new
-    :class:`CheckpointStore`, so long-lived owners (the service
-    coordinator) keep one instance — and its degradation state — across
-    many executions, and can restore the previous binding afterwards.
-    Returns the previously bound store (``None`` if caching was off).
-    """
-    global _STORE
-    previous = _STORE
-    _STORE = store
-    if store is None:
-        stagecache.disable()
-    else:
-        stagecache.use_store(store)
-    return previous
-
-
-def swap_memos(state: Optional[tuple] = None) -> tuple:
-    """Swap the in-process memos out (and back in), returning the
-    previous contents as an opaque state tuple.
-
-    The service coordinator brackets every job with this: a job must
-    derive its result from the bound store, never from results the host
-    process happened to memoize earlier — and the job's own inserts and
-    failure records must not leak back into the host session.
-    """
-    previous = (dict(_COMPARISON_CACHE), dict(_FLOW_CACHE),
-                dict(_FAILED_TASKS))
-    comparison, flow, failed = state or ({}, {}, {})
-    _COMPARISON_CACHE.clear()
-    _COMPARISON_CACHE.update(comparison)
-    _FLOW_CACHE.clear()
-    _FLOW_CACHE.update(flow)
-    _FAILED_TASKS.clear()
-    _FAILED_TASKS.update(failed)
-    return previous
-
-
-def disable_persistent_cache() -> None:
-    global _STORE
-    _STORE = None
-    stagecache.disable()
-
-
 def persistent_store() -> Optional[CheckpointStore]:
-    return _STORE
+    """The session's checkpoint store (``None``: in-process only)."""
+    return current().store
 
 
 def _cache_lookup(cache: Dict[str, object], key: str) -> Optional[object]:
     value = cache.get(key)
-    if value is None and _STORE is not None:
-        value = _STORE.load(key)
+    store = current().store
+    if value is None and store is not None:
+        value = store.load(key)
         if value is not None:
             cache[key] = value
     return value
@@ -166,38 +101,33 @@ def _cache_lookup(cache: Dict[str, object], key: str) -> Optional[object]:
 
 def _cache_insert(cache: Dict[str, object], key: str, value: object) -> None:
     cache[key] = value
-    if _STORE is not None:
+    store = current().store
+    if store is not None:
         # Best-effort: a disk-write failure must not discard a fully
         # computed result — the in-process entry above stays usable.
-        _STORE.try_store(key, value)
+        store.try_store(key, value)
 
 
 # -- parallel warm phase ---------------------------------------------------
 
-# key -> (label, worker error class name, message, was-a-ReproError) for
-# tasks that failed in a parallel warm phase under keep-going.  Consulted
-# by the cached call sites so a driver's request for that result raises
-# immediately (with the original error) instead of recomputing a known
-# failure.
-_FAILED_TASKS: Dict[str, tuple] = {}
-
+# The session's ``failed_tasks`` maps key -> (label, worker error class
+# name, message, was-a-ReproError) for tasks that failed in a parallel
+# warm phase under keep-going.  Consulted by the cached call sites so a
+# driver's request for that result raises immediately (with the original
+# error) instead of recomputing a known failure.
 
 def record_task_failure(key: str, label: str, error: str,
                         message: str, repro_error: bool = True) -> None:
     """Remember a parallel task failure for this session."""
-    _FAILED_TASKS[key] = (label, error, message, repro_error)
+    current().failed_tasks[key] = (label, error, message, repro_error)
 
 
 def task_failures() -> Dict[str, tuple]:
-    return dict(_FAILED_TASKS)
-
-
-def clear_task_failures() -> None:
-    _FAILED_TASKS.clear()
+    return dict(current().failed_tasks)
 
 
 def _check_failed(key: str) -> None:
-    failure = _FAILED_TASKS.get(key)
+    failure = current().failed_tasks.get(key)
     if failure is not None:
         label, error, message, repro_error = failure
         raise TaskFailedError(label, error, message,
@@ -223,14 +153,15 @@ def prefetch(tasks: object, jobs: Optional[int] = None,
     from repro.parallel import KIND_COMPARISON, ParallelEngine, TaskGraph
 
     graph = tasks if isinstance(tasks, TaskGraph) else TaskGraph(tasks)
+    session = current()
     ephemeral_root: Optional[str] = None
-    store = _STORE
+    store = session.store
     if store is None:
         ephemeral_root = tempfile.mkdtemp(prefix="repro-parallel-")
         store = CheckpointStore(Path(ephemeral_root))
     try:
         engine = ParallelEngine(store=store, jobs=jobs,
-                                keep_going=_SESSION.keep_going,
+                                keep_going=session.keep_going,
                                 **engine_options)
         report = engine.execute(graph)
         for record in report.records:
@@ -243,8 +174,8 @@ def prefetch(tasks: object, jobs: Optional[int] = None,
             value = engine.value_for(record.key)
             if value is None:
                 continue
-            cache = (_COMPARISON_CACHE if record.kind == KIND_COMPARISON
-                     else _FLOW_CACHE)
+            cache = (session.comparisons if record.kind == KIND_COMPARISON
+                     else session.flows)
             cache[record.key] = value
         return report
     finally:
@@ -260,45 +191,49 @@ def cached_comparison(circuit: str, node_name: str = "45nm",
     """Run (or fetch) an iso-performance 2D vs T-MI comparison."""
     scale = scale if scale is not None else default_scale(circuit)
     key = comparison_key(circuit, node_name, scale, kwargs)
-    value = _cache_lookup(_COMPARISON_CACHE, key)
+    memo = current().comparisons
+    value = _cache_lookup(memo, key)
     if value is None:
         _check_failed(key)
         value = run_iso_performance_comparison(
             circuit, node_name=node_name, scale=scale, **kwargs)
-        _cache_insert(_COMPARISON_CACHE, key, value)
+        _cache_insert(memo, key, value)
     return value
 
 
 def cached_flow(config: FlowConfig) -> LayoutResult:
     """Run (or fetch) a single flow configuration."""
     key = flow_key(config)
-    value = _cache_lookup(_FLOW_CACHE, key)
+    memo = current().flows
+    value = _cache_lookup(memo, key)
     if value is None:
         _check_failed(key)
         value = run_flow(config)
-        _cache_insert(_FLOW_CACHE, key, value)
+        _cache_insert(memo, key, value)
     return value
 
 
 def flow_cached(key: str) -> bool:
     """Whether a flow result for ``key`` is already warm.
 
-    True when the in-process memo or the bound persistent store holds
-    the whole-run result — the lookup the DSE engine uses to count an
+    True when the in-process memo or the session's store holds the
+    whole-run result — the lookup the DSE engine uses to count an
     evaluation as a cache hit before lowering it into the planner.
     """
-    if key in _FLOW_CACHE:
+    session = current()
+    if key in session.flows:
         return True
-    return _STORE is not None and key in _STORE
+    return session.store is not None and key in session.store
 
 
 def clear_caches(disk: bool = False) -> None:
-    """Drop the in-process memos (and, with ``disk=True``, the store)."""
-    _COMPARISON_CACHE.clear()
-    _FLOW_CACHE.clear()
-    _FAILED_TASKS.clear()
-    if disk and _STORE is not None:
-        _STORE.clear()
+    """Drop the session's memos (and, with ``disk=True``, its store)."""
+    session = current()
+    session.comparisons.clear()
+    session.flows.clear()
+    session.failed_tasks.clear()
+    if disk and session.store is not None:
+        session.store.clear()
 
 
 # -- graceful degradation (--keep-going) ----------------------------------
@@ -315,30 +250,12 @@ class RowError:
         return f"{self.label}: {self.error}: {self.message}"
 
 
-class _Session:
-    def __init__(self) -> None:
-        self.keep_going = False
-        self.errors: List[RowError] = []
-
-
-_SESSION = _Session()
-
-
-def set_keep_going(flag: bool) -> None:
-    """Enable/disable row-level graceful degradation for this session."""
-    _SESSION.keep_going = flag
-
-
 def keep_going_enabled() -> bool:
-    return _SESSION.keep_going
+    return current().keep_going
 
 
 def session_errors() -> List[RowError]:
-    return list(_SESSION.errors)
-
-
-def clear_session_errors() -> None:
-    _SESSION.errors.clear()
+    return list(current().errors)
 
 
 def _describe_error(exc: ReproError) -> tuple:
@@ -386,11 +303,11 @@ def resilient_rows(items: Iterable[object],
                 # under keep-going (only ReproError is caught here), so
                 # re-raise for identical parallel/sequential semantics.
                 raise
-            if not _SESSION.keep_going:
+            if not current().keep_going:
                 raise
             name = label(item)
             error, message = _describe_error(exc)
-            _SESSION.errors.append(RowError(
+            current().errors.append(RowError(
                 label=name, error=error, message=message))
             rows.append(error_row(name, exc))
         else:

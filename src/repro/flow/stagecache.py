@@ -20,11 +20,12 @@ which stages a parameter change recomputes, before running anything.
 
 Stage payloads live in the same :class:`~repro.runtime.checkpoint.
 CheckpointStore` as whole-run results (same schema versioning, same
-corruption quarantine, same cross-process create-rename safety), bound
-via :func:`use_store` — the runner's ``--resume`` path and the parallel
-engine's workers both bind it, so stage hits cross process boundaries.
-With no store bound, :class:`StageMemo` is pass-through: the flow
-computes exactly as before, no metrics, no disk.
+corruption quarantine, same cross-process create-rename safety): the
+store of the run session (:mod:`repro.session`) — ``--resume``, the
+parallel engine's workers and the service all run under one, so stage
+hits cross process boundaries.  With no store in the session,
+:class:`StageMemo` is pass-through: the flow computes exactly as
+before, no metrics, no disk.
 
 Hits and misses are counted per stage (``checkpoint.stage_hits``,
 ``checkpoint.stage_misses``, plus ``.<stage>``-suffixed variants); the
@@ -39,6 +40,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs import metrics as obs_metrics
 from repro.runtime.checkpoint import CheckpointStore, config_key
+from repro.session import current
 
 # FlowConfig fields each stage reads *directly*.  A field must appear at
 # every stage that reads it, and only there: downstream stages inherit
@@ -178,36 +180,16 @@ def field_report() -> List[Dict[str, object]]:
             for name in sweepable_fields()]
 
 
-# -- store binding ---------------------------------------------------------
-
-_STORE: Optional[CheckpointStore] = None
-
-
-def use_store(store: Optional[CheckpointStore]) -> Optional[CheckpointStore]:
-    """Bind (or with ``None`` unbind) the stage checkpoint store."""
-    global _STORE
-    _STORE = store
-    return store
-
-
-def disable() -> None:
-    use_store(None)
-
-
-def active_store() -> Optional[CheckpointStore]:
-    return _STORE
-
-
 class StageMemo:
     """Per-run view of the stage cache for one flow configuration.
 
-    Built at the top of ``run_flow``; snapshots the bound store so a
-    run is internally consistent even if the binding changes mid-run.
+    Built at the top of ``run_flow``; snapshots the session's store so
+    a run is internally consistent even if a stage enters another scope.
     """
 
     def __init__(self, config: object):
         self.config = config
-        self.store = _STORE
+        self.store = current().store
         self.digests = stage_digests(config) if self.store is not None \
             else {}
 

@@ -15,7 +15,9 @@ Three cooperating, individually opt-in layers, all free when off:
 * :mod:`repro.obs.profile` — per-stage wall/CPU time and peak RSS
   (optionally tracemalloc peaks), sampled by the supervisor.
 
-``repro --profile`` and ``repro trace <experiment>`` install all three;
+Each layer is a field of the run session (:mod:`repro.session`);
+``use_tracer``/``use_metrics``/``use_profiler`` scope one for a block.
+``repro --profile`` and ``repro trace <experiment>`` scope all three;
 ``scripts/trace_overhead.py`` keeps the tracer's cost under the
 documented overhead budget.
 """
@@ -27,7 +29,6 @@ from repro.obs.metrics import (          # noqa: F401
     MetricsRegistry,
     NULL_METRICS,
     current_metrics,
-    install_metrics,
     use_metrics,
 )
 from repro.obs.profile import (          # noqa: F401
@@ -35,7 +36,6 @@ from repro.obs.profile import (          # noqa: F401
     Profiler,
     ProfileSample,
     current_profiler,
-    install_profiler,
     use_profiler,
 )
 from repro.obs.trace import (            # noqa: F401
@@ -45,7 +45,6 @@ from repro.obs.trace import (            # noqa: F401
     TraceBundle,
     Tracer,
     current_tracer,
-    install_tracer,
     kernel,
     use_tracer,
 )

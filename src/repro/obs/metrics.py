@@ -9,7 +9,7 @@ them observable per session.  Canonical metric names are listed in
 Like tracing (see :mod:`repro.obs.trace`), metrics are **opt-in and free
 when off**: the default registry is :data:`NULL_METRICS`, whose
 instruments are shared no-op singletons, so an increment on a hot path
-costs one global read and one method call on an empty body.
+costs one session lookup and one method call on an empty body.
 
 Snapshots are plain dicts, picklable, and mergeable: the parallel engine
 ships each worker's snapshot home in its trace bundle and folds it into
@@ -22,7 +22,9 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
+
+from repro.session import current, scope
 
 __all__ = [
     "Counter",
@@ -31,7 +33,6 @@ __all__ = [
     "MetricsRegistry",
     "NULL_METRICS",
     "current_metrics",
-    "install_metrics",
     "use_metrics",
     "counter",
     "gauge",
@@ -259,41 +260,30 @@ class _NullMetrics(MetricsRegistry):
 
 
 NULL_METRICS = _NullMetrics()
-_ACTIVE: MetricsRegistry = NULL_METRICS
 
 
 def current_metrics() -> MetricsRegistry:
     """The registry obs-instrumented code counts into."""
-    return _ACTIVE
-
-
-def install_metrics(registry: Optional[MetricsRegistry]) -> MetricsRegistry:
-    """Install (or with ``None``, reset to the null registry) globally."""
-    global _ACTIVE
-    _ACTIVE = registry if registry is not None else NULL_METRICS
-    return _ACTIVE
+    registry = current().metrics
+    return NULL_METRICS if registry is None else registry
 
 
 @contextmanager
 def use_metrics(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
-    """Scope a registry: installed on entry, previous restored on exit."""
-    previous = _ACTIVE
-    install_metrics(registry)
-    try:
+    """Scope a registry: the session's for the block, the previous after."""
+    with scope(metrics=registry):
         yield registry
-    finally:
-        install_metrics(previous)
 
 
 def counter(name: str) -> Counter:
     """The active registry's counter (no-op singleton when disabled)."""
-    return _ACTIVE.counter(name)
+    return current_metrics().counter(name)
 
 
 def gauge(name: str) -> Gauge:
-    return _ACTIVE.gauge(name)
+    return current_metrics().gauge(name)
 
 
 def histogram(name: str,
               bounds: Sequence[float] = DEFAULT_BOUNDS) -> Histogram:
-    return _ACTIVE.histogram(name, bounds)
+    return current_metrics().histogram(name, bounds)

@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 from threading import Lock
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.session import current, scope
+
 try:
     import resource
 except ImportError:                      # pragma: no cover - non-POSIX
@@ -35,7 +37,6 @@ __all__ = [
     "Profiler",
     "NULL_PROFILER",
     "current_profiler",
-    "install_profiler",
     "use_profiler",
 ]
 
@@ -212,27 +213,16 @@ class _NullProfiler(Profiler):
 
 
 NULL_PROFILER = _NullProfiler()
-_ACTIVE: Profiler = NULL_PROFILER
 
 
 def current_profiler() -> Profiler:
     """The profiler the stage supervisor samples into."""
-    return _ACTIVE
-
-
-def install_profiler(profiler: Optional[Profiler]) -> Profiler:
-    """Install (or with ``None``, reset to the null profiler) globally."""
-    global _ACTIVE
-    _ACTIVE = profiler if profiler is not None else NULL_PROFILER
-    return _ACTIVE
+    profiler = current().profiler
+    return NULL_PROFILER if profiler is None else profiler
 
 
 @contextmanager
 def use_profiler(profiler: Profiler) -> Iterator[Profiler]:
-    """Scope a profiler: installed on entry, previous restored on exit."""
-    previous = _ACTIVE
-    install_profiler(profiler)
-    try:
+    """Scope a profiler: the session's for the block, the previous after."""
+    with scope(profiler=profiler):
         yield profiler
-    finally:
-        install_profiler(previous)

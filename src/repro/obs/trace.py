@@ -8,11 +8,12 @@ open on the same thread becomes its child.  Spans carry **events**
 plain JSON or to the Chrome ``traceEvents`` format (load the file at
 ``chrome://tracing`` / https://ui.perfetto.dev — zero dependencies).
 
-Tracing is **opt-in and free when off**: the module-level active tracer
-defaults to :data:`NULL_TRACER`, whose :meth:`~Tracer.span` returns one
-shared, do-nothing context manager — no allocation, no lock, no clock
-read on the hot paths (guarded by a no-op test).  ``repro --profile``
-and ``repro trace`` install a real tracer via :func:`use_tracer`.
+Tracing is **opt-in and free when off**: with no tracer in the
+session (:mod:`repro.session`), :func:`current_tracer` is
+:data:`NULL_TRACER`, whose :meth:`~Tracer.span` returns one shared,
+do-nothing context manager — no allocation, no lock, no clock read on
+the hot paths (guarded by a no-op test).  ``repro --profile`` and
+``repro trace`` scope a real tracer via :func:`use_tracer`.
 
 Cross-process traces: a worker exports its finished spans as a
 :class:`TraceBundle` (pid, wall-clock epoch, spans, plus the metric and
@@ -36,6 +37,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional
 
+from repro.session import current, scope
+
 __all__ = [
     "Span",
     "SpanEvent",
@@ -43,7 +46,6 @@ __all__ = [
     "Tracer",
     "NULL_TRACER",
     "current_tracer",
-    "install_tracer",
     "use_tracer",
     "kernel",
 ]
@@ -459,39 +461,28 @@ class _NullTracer(Tracer):
 
 
 NULL_TRACER = _NullTracer()
-_ACTIVE: Tracer = NULL_TRACER
 
 
 def current_tracer() -> Tracer:
     """The tracer obs-instrumented code records into."""
-    return _ACTIVE
-
-
-def install_tracer(tracer: Optional[Tracer]) -> Tracer:
-    """Install (or with ``None``, reset to the null tracer) globally."""
-    global _ACTIVE
-    _ACTIVE = tracer if tracer is not None else NULL_TRACER
-    return _ACTIVE
+    tracer = current().tracer
+    return NULL_TRACER if tracer is None else tracer
 
 
 @contextmanager
 def use_tracer(tracer: Tracer) -> Iterator[Tracer]:
-    """Scope a tracer: installed on entry, previous restored on exit."""
-    previous = _ACTIVE
-    install_tracer(tracer)
-    try:
+    """Scope a tracer: the session's for the block, the previous after."""
+    with scope(tracer=tracer):
         yield tracer
-    finally:
-        install_tracer(previous)
 
 
 def kernel(name: str, **attrs: object):
     """Hot-kernel timer: a ``kernel`` span, or the shared no-op when off.
 
-    The disabled path is one global read and one attribute check — cheap
-    enough to sit inside placement/routing/STA inner drivers.
+    The disabled path is one session lookup and one attribute check —
+    cheap enough to sit inside placement/routing/STA inner drivers.
     """
-    tracer = _ACTIVE
-    if not tracer.enabled:
+    tracer = current().tracer
+    if tracer is None:
         return _NULL_SPAN_CONTEXT
     return tracer.span(name, category="kernel", **attrs)

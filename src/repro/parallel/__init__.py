@@ -8,7 +8,8 @@ Three cooperating pieces:
   unique tasks keyed by the canonical checkpoint keys, with
   :class:`DeferredTasks` for sweeps whose grids depend on base results.
 * :mod:`repro.parallel.pool` — a :class:`ParallelEngine` runs the graph
-  on a ``ProcessPoolExecutor``, exchanging results through the shared
+  inline (``jobs=1``) or on a ``ProcessPoolExecutor``, exchanging
+  results through the shared
   :class:`repro.runtime.CheckpointStore`, recovering from worker crashes
   with a bounded retry budget, and honoring the session's keep-going
   policy (per-task failures become error records, not a pool abort).
@@ -32,14 +33,6 @@ from repro.parallel.plan import (            # noqa: F401
     comparison_task,
     flow_task,
     flow_tasks,
-)
-from repro.parallel.backends import (        # noqa: F401
-    BACKENDS,
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    make_backend,
 )
 from repro.parallel.pool import (            # noqa: F401
     ParallelEngine,

@@ -1,13 +1,19 @@
 """Process-pool execution of deduplicated task graphs.
 
 The engine runs the unique tasks of a :class:`~repro.parallel.plan.TaskGraph`
-on a :class:`concurrent.futures.ProcessPoolExecutor` and exchanges results
-through a shared :class:`repro.runtime.checkpoint.CheckpointStore`: each
-worker writes its completed ``LayoutResult``/``ComparisonResult`` into the
-store (the create-rename writes make concurrent writers safe) and returns
-only lightweight metadata; the parent loads values back from the store on
+and exchanges results through a shared
+:class:`repro.runtime.checkpoint.CheckpointStore`.  Where the tasks run
+follows from ``jobs``: with 1 they run inline, one after another, under
+the caller's session with the engine's store; with more they run on a
+:class:`concurrent.futures.ProcessPoolExecutor` whose initializer turns
+the :class:`WorkerContext` into each worker's session.  Each task writes
+its completed ``LayoutResult``/``ComparisonResult`` into the store (the
+create-rename writes make concurrent writers safe) and returns only
+lightweight metadata; the parent loads values back from the store on
 demand.  This keeps large results off the result-queue pickling path and
 means a crashed session leaves every completed run reusable on disk.
+Every task runs with a fresh stage supervisor (the session's policies,
+its own journal), so its per-stage walls are its own.
 
 Failure semantics mirror the sequential session:
 
@@ -39,8 +45,7 @@ import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -68,7 +73,10 @@ from repro.parallel.report import (
     EngineReport,
     TaskRecord,
 )
+from repro.runtime import faults
 from repro.runtime.checkpoint import CheckpointStore, config_key
+from repro.runtime.supervisor import current_supervisor
+from repro.session import Session, bind, current, scope
 
 logger = logging.getLogger(__name__)
 
@@ -77,7 +85,8 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class WorkerContext:
-    """Everything a worker needs; pickled once per process at pool start."""
+    """Everything a task needs besides its spec: the worker session's
+    store, and the faults and observability each task runs with."""
 
     store_root: str
     schema_version: int
@@ -89,22 +98,18 @@ class WorkerContext:
     trace_enabled: bool = False
 
 
-_CONTEXT: Optional[WorkerContext] = None
-_STORE: Optional[CheckpointStore] = None
-
-
 def _init_worker(context: WorkerContext) -> None:
-    """Pool initializer: bind the shared store in this worker process."""
-    from repro.flow import stagecache
+    """Pool initializer: the worker's session, on the shared store.
 
-    global _CONTEXT, _STORE
-    _CONTEXT = context
-    _STORE = CheckpointStore(Path(context.store_root),
-                             schema_version=context.schema_version)
-    # Stage-level checkpoints flow through the same shared store, so a
-    # worker reuses flow stages another worker (or an earlier session)
-    # already computed, not just whole task results.
-    stagecache.use_store(_STORE)
+    Stage-level checkpoints flow through the same store, so a worker
+    reuses flow stages another worker (or an earlier session) already
+    computed, not just whole task results.  On fork platforms the
+    worker starts in the submitting thread's context, so the stage
+    policies (``--timeout``) of its supervisor carry over.
+    """
+    bind(Session(store=CheckpointStore(
+        Path(context.store_root), schema_version=context.schema_version),
+        supervisor=current_supervisor()))
 
 
 def _compute(spec: TaskSpec) -> object:
@@ -126,10 +131,10 @@ def _trace_key(task_key: str) -> str:
     return config_key("trace", task_key)
 
 
-def _stage_walls(journal, mark: int) -> Dict[str, float]:
-    """Per-stage wall time from the journal records a task appended."""
+def _stage_walls(journal) -> Dict[str, float]:
+    """Per-stage wall time from a task's journal."""
     walls: Dict[str, float] = {}
-    for record in journal.records[mark:]:
+    for record in journal.records:
         walls[record.stage] = walls.get(record.stage, 0.0) \
             + record.wall_time_s
     return walls
@@ -150,25 +155,19 @@ def _ship_bundle(store: CheckpointStore, spec: TaskSpec,
 
 
 def _execute_task(spec: TaskSpec,
-                  collect_stages: bool = True) -> Dict[str, object]:
-    """Run one task in a worker; returns metadata, not the result.
+                  context: WorkerContext) -> Dict[str, object]:
+    """Run one task under the current session; returns metadata, not
+    the result.
 
-    The result crosses the process boundary through the checkpoint store;
+    The result crosses the process boundary through the session's store;
     only if the store write fails is the value shipped back inline so a
-    computed run is never discarded.  Under observability the task runs
-    against a fresh tracer/registry/profiler and ships a
-    :class:`TraceBundle` home through the store as well — the parent
+    computed run is never discarded.  The task runs with a fresh stage
+    supervisor, its fault plan (if the context targets it) and, under
+    observability, a fresh tracer/registry/profiler whose
+    :class:`TraceBundle` it ships home through the store — the parent
     merges the bundles into one session trace after the run.
-
-    ``collect_stages=False`` skips per-task stage-wall attribution (the
-    thread backend shares one journal across concurrent tasks, so a
-    slice of it cannot be charged to one task).
     """
-    from repro.runtime import faults
-    from repro.runtime.supervisor import current_supervisor
-
-    context = _CONTEXT
-    store = _STORE
+    store = current().store
     start = time.perf_counter()
     base: Dict[str, object] = {"key": spec.key, "pid": os.getpid()}
 
@@ -178,56 +177,41 @@ def _execute_task(spec: TaskSpec,
                     wall_s=time.perf_counter() - start)
         return base
 
-    plan = None
+    supervisor = current_supervisor().fresh()
+    changes: Dict[str, object] = {"supervisor": supervisor}
     if context.fault_specs and (
             context.fault_label_filter is None
             or context.fault_label_filter in spec.label):
-        plan = faults.install(faults.FaultPlan(list(context.fault_specs)))
-    journal = current_supervisor().journal
-    mark = len(journal.records)
-    obs = ExitStack()
-    tracer = registry = profiler = None
+        changes["faults"] = faults.FaultPlan(list(context.fault_specs))
     if context.trace_enabled:
-        tracer = obs.enter_context(obs_trace.use_tracer(obs_trace.Tracer()))
-        registry = obs.enter_context(
-            obs_metrics.use_metrics(obs_metrics.MetricsRegistry()))
-        profiler = obs.enter_context(
-            obs_profile.use_profiler(obs_profile.Profiler()))
-    try:
-        value = _compute(spec)
-    except ReproError as exc:
+        changes.update(tracer=obs_trace.Tracer(),
+                       metrics=obs_metrics.MetricsRegistry(),
+                       profiler=obs_profile.Profiler())
+    failure: Optional[Dict[str, object]] = None
+    with scope(**changes) as task:
+        try:
+            value = _compute(spec)
+        except Exception as exc:
+            # Any failure becomes the same record shape (so jobs=1 and
+            # pooled sessions produce identical records); a non-Repro
+            # exception is a genuine bug and is flagged, so row assembly
+            # re-raises it instead of degrading it into an error row
+            # under keep-going.
+            failure = {"error": type(exc).__name__, "message": str(exc),
+                       "repro_error": isinstance(exc, ReproError)}
+    stages = _stage_walls(supervisor.journal)
+    if context.trace_enabled:
+        _ship_bundle(store, spec, task.tracer, task.metrics, task.profiler,
+                     stages)
+    if failure is not None:
         base.update(status=STATUS_FAILED, cached=False, stored=False,
-                    error=type(exc).__name__, message=str(exc),
-                    repro_error=True,
-                    wall_s=time.perf_counter() - start,
-                    stages=(_stage_walls(journal, mark)
-                            if collect_stages else {}))
+                    wall_s=time.perf_counter() - start, stages=stages,
+                    **failure)
         return base
-    except Exception as exc:
-        # A non-Repro exception is a genuine bug.  Contain it to the same
-        # record shape (so jobs=1 and pooled sessions produce identical
-        # records) but flag it, so row assembly re-raises it instead of
-        # degrading it into an error row under keep-going.
-        base.update(status=STATUS_FAILED, cached=False, stored=False,
-                    error=type(exc).__name__, message=str(exc),
-                    repro_error=False,
-                    wall_s=time.perf_counter() - start,
-                    stages=(_stage_walls(journal, mark)
-                            if collect_stages else {}))
-        return base
-    finally:
-        obs.close()
-        if tracer is not None:
-            _ship_bundle(store, spec, tracer, registry, profiler,
-                         _stage_walls(journal, mark))
-        if plan is not None:
-            faults.reset()
 
     stored = store.try_store(spec.key, value) is not None
     base.update(status=STATUS_OK, cached=False, stored=stored,
-                wall_s=time.perf_counter() - start,
-                stages=(_stage_walls(journal, mark)
-                        if collect_stages else {}))
+                wall_s=time.perf_counter() - start, stages=stages)
     if not stored:
         base["value"] = value
     return base
@@ -251,10 +235,7 @@ class ParallelEngine:
                  keep_going: bool = False,
                  worker_faults: Sequence = (),
                  fault_label_filter: Optional[str] = None,
-                 warm_libraries: bool = True,
-                 backend: Optional[object] = None):
-        from repro.parallel.backends import make_backend
-
+                 warm_libraries: bool = True):
         self.store = store if store is not None else CheckpointStore()
         self.jobs = max(1, jobs if jobs is not None
                         else (os.cpu_count() or 1))
@@ -263,10 +244,6 @@ class ParallelEngine:
         self.worker_faults = tuple(worker_faults)
         self.fault_label_filter = fault_label_filter
         self.warm_libraries = warm_libraries
-        # Where tasks execute: an ExecutionBackend instance, a registry
-        # name ("serial" | "thread" | "process"), or None for the
-        # historical default (processes when jobs > 1, else inline).
-        self.backend = make_backend(backend, jobs=self.jobs)
         self._values: Dict[str, object] = {}
 
     # -- results -----------------------------------------------------------
@@ -430,11 +407,22 @@ class ParallelEngine:
                    records: Dict[str, TaskRecord]) -> int:
         """Run every pending task to a record; returns pool rebuild count.
 
-        Delegated to the engine's pluggable execution backend
-        (:mod:`repro.parallel.backends`): inline serial, in-process
-        threads, or the crash-tolerant process pool.
+        ``jobs == 1`` runs the tasks inline under the engine's store;
+        otherwise on the process pool, rebuilt after a worker crash.
         """
-        return self.backend.run(self, pending, records)
+        context = self._context()
+        if self.jobs == 1:
+            with scope(store=self.store):
+                for key in list(pending):
+                    task = pending.pop(key)
+                    self._record(records, task,
+                                 _execute_task(task.spec, context))
+            return 0
+        rebuilds = 0
+        while pending and self._run_pool_round(pending, records, context):
+            rebuilds += 1
+            self._absorb_crash(pending, records)
+        return rebuilds
 
     def _run_pool_round(self, pending: Dict[str, _PendingTask],
                         records: Dict[str, TaskRecord],
@@ -446,8 +434,8 @@ class ParallelEngine:
                     max_workers=min(self.jobs, len(pending)),
                     initializer=_init_worker,
                     initargs=(context,)) as pool:
-                futures = {pool.submit(_execute_task, task.spec): task
-                           for task in pending.values()}
+                futures = {pool.submit(_execute_task, task.spec, context):
+                           task for task in pending.values()}
                 not_done = set(futures)
                 while not_done:
                     done, not_done = wait(not_done,

@@ -28,6 +28,5 @@ from repro.runtime.supervisor import (            # noqa: F401
     StageRecord,
     StageSupervisor,
     current_supervisor,
-    install_supervisor,
     use_supervisor,
 )

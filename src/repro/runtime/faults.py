@@ -30,7 +30,9 @@ Usage::
 
 Counting is per-plan and thread-safe (stages may execute on a worker
 thread when a timeout is configured), so a plan is deterministic and
-reusable only within one ``install``/``inject`` scope.  Both spec kinds
+reusable only within one ``inject`` scope.  The plan is part of the run
+session (:mod:`repro.session`), so it reaches a timed stage body on the
+supervisor's thread but not an unrelated thread.  Both spec kinds
 are picklable dataclasses, so a plan ships to pool workers through
 :class:`repro.parallel.pool.WorkerContext` unchanged.
 """
@@ -44,6 +46,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional
 
 from repro import errors
+from repro.session import current, scope
 
 # Specs with times=ALWAYS fire on every matching occurrence.
 ALWAYS = -1
@@ -226,45 +229,30 @@ class _NullPlan(FaultPlan):
 
 
 _NULL_PLAN = _NullPlan()
-_ACTIVE: FaultPlan = _NULL_PLAN
 
 
 def active_plan() -> FaultPlan:
-    return _ACTIVE
-
-
-def install(plan: FaultPlan) -> FaultPlan:
-    """Install a fault plan globally; returns it for convenience."""
-    global _ACTIVE
-    _ACTIVE = plan
-    return plan
-
-
-def reset() -> None:
-    """Remove any installed fault plan."""
-    global _ACTIVE
-    _ACTIVE = _NULL_PLAN
+    plan = current().faults
+    return _NULL_PLAN if plan is None else plan
 
 
 @contextmanager
 def inject(*specs: object) -> Iterator[FaultPlan]:
-    """Context manager: install a plan of ``specs``, restore on exit.
+    """Context manager: a plan of ``specs`` for the block, the previous
+    plan restored on exit.
 
     Accepts any mix of :class:`FaultSpec` and :class:`FsFaultSpec`.
     """
-    previous = _ACTIVE
-    plan = install(FaultPlan(list(specs)))
-    try:
+    plan = FaultPlan(list(specs))
+    with scope(faults=plan):
         yield plan
-    finally:
-        install(previous)
 
 
 def check(stage: str, where: str = "before", result: object = None) -> None:
     """Hook for the supervisor: fire matching faults of the active plan."""
-    _ACTIVE.check(stage, where, result)
+    active_plan().check(stage, where, result)
 
 
 def fs_fault(op: str, key: str) -> Optional[str]:
     """Hook for the checkpoint store: the fault kind to apply, or None."""
-    return _ACTIVE.fs_fault(op, key)
+    return active_plan().fs_fault(op, key)

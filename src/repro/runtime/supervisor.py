@@ -18,14 +18,17 @@ The :class:`StageSupervisor` wraps each stage of
 * a structured **run journal** recording stage, attempt, wall time,
   outcome, and exception class for every attempt.
 
-A process-wide supervisor is always active (:func:`current_supervisor`);
-:func:`use_supervisor` swaps one in for a scope.  Every attempt also
-consults :mod:`repro.runtime.faults`, so fault plans work with the
-default supervisor too.
+The supervisor is part of the run session (:mod:`repro.session`): a
+process default serves unscoped runs (:func:`current_supervisor`), and
+:func:`use_supervisor` scopes another.  Service jobs and pool tasks run
+under :meth:`StageSupervisor.fresh` — the same policies, their own
+journal.  Every attempt also consults :mod:`repro.runtime.faults`, so
+fault plans work with the default supervisor too.
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
 import logging
 import threading
@@ -40,6 +43,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
 from repro.runtime import faults
+from repro.session import current, scope
 
 logger = logging.getLogger(__name__)
 
@@ -152,7 +156,12 @@ def _run_with_timeout(name: str, fn: Callable[[], object],
                       timeout_s: Optional[float],
                       tracer: Optional["obs_trace.Tracer"] = None,
                       parent: Optional["obs_trace.Span"] = None) -> object:
-    """Run ``fn`` (optionally on a worker thread with a deadline)."""
+    """Run ``fn`` (optionally on a worker thread with a deadline).
+
+    The worker thread runs in a copy of the caller's context, so the
+    stage body sees the caller's session (store, memos, fault plan); a
+    plain thread would start in the root session.
+    """
     if timeout_s is None:
         return fn()
     box: Dict[str, object] = {}
@@ -169,7 +178,8 @@ def _run_with_timeout(name: str, fn: Callable[[], object],
         except BaseException as exc:       # re-raised on the caller thread
             box["error"] = exc
 
-    thread = threading.Thread(target=worker, name=f"stage-{name}",
+    thread = threading.Thread(target=contextvars.copy_context().run,
+                              args=(worker,), name=f"stage-{name}",
                               daemon=True)
     thread.start()
     thread.join(timeout_s)
@@ -195,6 +205,11 @@ class StageSupervisor:
         self.journal = journal if journal is not None else RunJournal()
         self._sleep = sleep
         self._run_label = ""
+
+    def fresh(self) -> "StageSupervisor":
+        """A supervisor with these policies and an empty journal."""
+        return StageSupervisor(self.policies, self.default_policy,
+                               sleep=self._sleep)
 
     # -- run labelling ---------------------------------------------------
 
@@ -369,28 +384,17 @@ class StageSupervisor:
 
 
 _DEFAULT = StageSupervisor()
-_CURRENT = _DEFAULT
 
 
 def current_supervisor() -> StageSupervisor:
     """The supervisor the design flow routes its stages through."""
-    return _CURRENT
-
-
-def install_supervisor(supervisor: Optional[StageSupervisor]
-                       ) -> StageSupervisor:
-    """Install (or with ``None``, reset to the default) globally."""
-    global _CURRENT
-    _CURRENT = supervisor if supervisor is not None else _DEFAULT
-    return _CURRENT
+    supervisor = current().supervisor
+    return _DEFAULT if supervisor is None else supervisor
 
 
 @contextmanager
 def use_supervisor(supervisor: StageSupervisor) -> Iterator[StageSupervisor]:
-    """Scope a supervisor: installed on entry, previous restored on exit."""
-    previous = _CURRENT
-    install_supervisor(supervisor)
-    try:
+    """Scope a supervisor: the session's for the block, the previous
+    after."""
+    with scope(supervisor=supervisor):
         yield supervisor
-    finally:
-        install_supervisor(previous)

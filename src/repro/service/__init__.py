@@ -3,7 +3,8 @@
 The service turns the repo's library surface — flow runs, paper
 experiments, DSE sweeps, audits, goldens diffs — into server-side
 *jobs* keyed by the canonical config hash, executed by a coordinator
-on a pluggable execution backend, and cached through the same
+(each job under its own run session, :mod:`repro.session`; inline or
+on worker processes by its ``jobs``), and cached through the same
 checkpoint store the CLI uses.  See :mod:`repro.service.app` for the
 endpoint table and :mod:`repro.service.jobs` for the job model.
 """

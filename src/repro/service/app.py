@@ -69,7 +69,6 @@ class ServiceConfig:
                                       # share a warm store with --resume
                                       # CLI sessions (--checkpoint-dir)
     jobs: int = 1
-    backend: Optional[str] = None
     worker_faults: Sequence = ()
     fault_label_filter: Optional[str] = None
     max_crash_retries: int = 2
@@ -96,7 +95,6 @@ class ReproService:
             store=self.store,
             queue=self.queue,
             jobs=self.config.jobs,
-            backend=self.config.backend,
             worker_faults=self.config.worker_faults,
             fault_label_filter=self.config.fault_label_filter,
             max_crash_retries=self.config.max_crash_retries,
@@ -222,7 +220,6 @@ class ReproService:
             "coordinator_running": self.coordinator.running,
             "queue_depth": self.queue.depth(),
             "store_degraded": self.store.degraded,
-            "backend": self.config.backend or "auto",
             "jobs": self.config.jobs,
         }
 

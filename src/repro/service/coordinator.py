@@ -2,24 +2,26 @@
 
 The coordinator owns the service's long-lived runtime state — the
 shared :class:`~repro.runtime.checkpoint.CheckpointStore`, the
-:class:`~repro.service.queue.JobQueue`, the execution backend choice —
-and a single worker thread that executes jobs one at a time.  Inside a
-job the session may fan out (``jobs=N`` on the serial/thread/process
-backend via :func:`repro.experiments.runner.prefetch`); across jobs the
-coordinator serializes, which is what lets N concurrent duplicate
-submissions race to exactly one execution.
+:class:`~repro.service.queue.JobQueue`, the job count — and a single
+worker thread that executes jobs one at a time.  Inside a job the
+session may fan out (``jobs=N`` worker processes via
+:func:`repro.experiments.runner.prefetch`); across jobs the coordinator
+serializes, which is what lets N concurrent duplicate submissions race
+to exactly one execution.
 
-Every job executes under a **scoped session**: the service store is
-bound as the persistent cache (:func:`repro.experiments.runner.bind_store`),
-keep-going is forced on, the in-process memos are swapped out (a job
-derives its result from the store, never from what the host process
-happened to memoize), and a fresh tracer + metrics registry capture
-the run.  Afterwards the previous bindings are restored, the per-job
-counters (notably ``checkpoint.stage_hits`` / ``stage_misses`` — the
-cache-hit proof for duplicate submissions) land on the job record, the
-trace and result documents persist into the store, and the job's
-registry merges into the service-wide aggregate served by
-``GET /metrics``.
+The worker thread runs in a copy of the context that started the
+service, and every job executes under its own **session**
+(:mod:`repro.session`) derived from it: the service store, fresh memos
+(a job derives its result from the store, never from what the host
+process happened to memoize), keep-going on, a fresh tracer + metrics
+registry, and a fresh stage supervisor with the starting session's
+policies; the fault plan and profiler carry over.  Leaving the scope —
+by any exception, ``KeyboardInterrupt`` included — restores the previous
+session.  Afterwards the per-job counters (notably
+``checkpoint.stage_hits`` / ``stage_misses`` — the cache-hit proof for
+duplicate submissions) land on the job record, the trace and result
+documents persist into the store, and the job's registry merges into
+the service-wide aggregate served by ``GET /metrics``.
 
 Failure taxonomy → job state:
 
@@ -33,6 +35,7 @@ Failure taxonomy → job state:
 
 from __future__ import annotations
 
+import contextvars
 import importlib
 import json
 import logging
@@ -45,6 +48,7 @@ from repro.errors import ReproError, ServiceError
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.runtime.checkpoint import CheckpointStore
+from repro.runtime.supervisor import current_supervisor
 from repro.service import jobs as jobs_mod
 from repro.service.jobs import (
     KIND_AUDIT,
@@ -59,6 +63,7 @@ from repro.service.jobs import (
     RunSummary,
 )
 from repro.service.queue import JobQueue
+from repro.session import scope
 
 logger = logging.getLogger(__name__)
 
@@ -73,14 +78,12 @@ class Coordinator:
                  store: CheckpointStore,
                  queue: JobQueue,
                  jobs: int = 1,
-                 backend: Optional[str] = None,
                  worker_faults: Sequence = (),
                  fault_label_filter: Optional[str] = None,
                  max_crash_retries: int = 2):
         self.store = store
         self.queue = queue
         self.jobs = max(1, int(jobs))
-        self.backend = backend
         self.worker_faults = tuple(worker_faults)
         self.fault_label_filter = fault_label_filter
         self.max_crash_retries = max_crash_retries
@@ -97,7 +100,8 @@ class Coordinator:
         if self._thread is not None and self._thread.is_alive():
             return
         self._stop.clear()
-        self._thread = threading.Thread(target=self._drain,
+        self._thread = threading.Thread(target=contextvars.copy_context().run,
+                                        args=(self._drain,),
                                         name="repro-service-coordinator",
                                         daemon=True)
         self._thread.start()
@@ -191,36 +195,27 @@ class Coordinator:
             self._execute(record)
 
     def _execute(self, record: JobRecord) -> None:
-        """Run one job under a scoped session and classify the outcome."""
-        from repro.experiments import runner
-
+        """Run one job under its own session and classify the outcome."""
         start = time.perf_counter()
-        previous_store = runner.bind_store(self.store)
-        previous_keep_going = runner.keep_going_enabled()
-        runner.set_keep_going(True)
-        runner.clear_session_errors()
-        # The job must derive everything from the bound store: results
-        # the host process memoized earlier would otherwise satisfy the
-        # job silently (and mask injected worker failures).
-        previous_memos = runner.swap_memos()
         tracer = obs_trace.Tracer()
         registry = obs_metrics.MetricsRegistry()
         payload = None
         error: Optional[BaseException] = None
-        try:
-            with obs_trace.use_tracer(tracer), \
-                    obs_metrics.use_metrics(registry):
+        extra_failures: List[Dict[str, str]] = []
+        # Fresh memos: results the host process memoized earlier would
+        # otherwise satisfy the job silently (and mask injected worker
+        # failures), and the job's own must not leak back.
+        with scope(store=self.store, comparisons={}, flows={},
+                   failed_tasks={}, keep_going=True, errors=[],
+                   tracer=tracer, metrics=registry,
+                   supervisor=current_supervisor().fresh(),
+                   collectors=()) as job:
+            try:
                 payload, extra_failures = self._run_kind(record)
-        except Exception as exc:           # ReproError and genuine bugs
-            error = exc
-            extra_failures = []
-        failures = [asdict(row_error)
-                    for row_error in runner.session_errors()]
+            except Exception as exc:       # ReproError and genuine bugs
+                error = exc
+        failures = [asdict(row_error) for row_error in job.errors]
         failures.extend(extra_failures)
-        runner.clear_session_errors()
-        runner.swap_memos(previous_memos)
-        runner.set_keep_going(previous_keep_going)
-        runner.bind_store(previous_store)
 
         wall_s = time.perf_counter() - start
         counters = registry.snapshot()["counters"]
@@ -325,7 +320,7 @@ class Coordinator:
             graph = TaskGraph(declare(**kwargs))
             if graph.tasks or graph.deferred:
                 report = runner.prefetch(
-                    graph, jobs=self.jobs, backend=self.backend,
+                    graph, jobs=self.jobs,
                     worker_faults=self.worker_faults,
                     fault_label_filter=self.fault_label_filter,
                     max_crash_retries=self.max_crash_retries)

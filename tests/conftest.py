@@ -5,7 +5,17 @@ from __future__ import annotations
 import pytest
 
 from repro.flow.design_flow import library_for
+from repro.session import Session, scope
 from repro.tech.node import NODE_45NM, NODE_7NM
+
+
+@pytest.fixture(autouse=True)
+def _fresh_session():
+    """Every test runs in a fresh run session: no store, empty memos,
+    keep-going off, no tracer/faults/collectors — and whatever the test
+    scopes is gone after it."""
+    with scope(Session()) as session:
+        yield session
 
 
 @pytest.fixture(scope="session")

@@ -770,16 +770,16 @@ def main(argv: Sequence[str]) -> int:
     """The ``repro`` CLI on the reference kernels.
 
     Refuses ``--resume`` (a checkpoint store would serve stages the
-    vectorized kernels computed) and worker processes (``-j``/
-    ``--backend``: workers import ``repro`` afresh, without the swap).
+    vectorized kernels computed) and worker processes (``-j``: workers
+    import ``repro`` afresh, without the swap).
     """
     from repro.cli import build_parser
     from repro.cli import main as repro_main
 
     args = build_parser().parse_args(argv)
-    if args.resume or args.jobs > 1 or args.backend:
+    if args.resume or args.jobs > 1:
         print("error: the reference CLI runs in one process without a "
-              "checkpoint store; drop --resume, -j and --backend",
+              "checkpoint store; drop --resume and -j",
               file=sys.stderr)
         return 2
     with reference_kernels():

@@ -13,9 +13,9 @@ from __future__ import annotations
 import pytest
 
 from repro.check.goldens import row_digest
-from repro.flow import stagecache
 from repro.flow.design_flow import FlowConfig, run_flow
 from repro.obs.trace import Tracer, use_tracer
+from repro.session import current
 from tests.reference_kernels import TARGETS, reference_kernels
 
 # The kernels a flow run reaches (characterization is cached with the
@@ -25,7 +25,7 @@ FLOW_KERNELS = ("place_global", "sta_run", "router_run")
 
 def _observe(config: FlowConfig):
     # A bound stage store would serve one run's stages to the other.
-    assert stagecache.active_store() is None
+    assert current().store is None
     tracer = Tracer()
     with use_tracer(tracer):
         result = run_flow(config)

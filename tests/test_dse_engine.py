@@ -23,19 +23,10 @@ from repro.dse import (
 from repro.errors import DseError, FlowError
 from repro.experiments import runner
 from repro.flow.design_flow import FlowConfig
+from repro.runtime.checkpoint import CheckpointStore
+from repro.session import Session, scope
 
 BASE = FlowConfig(circuit="fpu", scale=0.06)
-
-
-@pytest.fixture(autouse=True)
-def _clean_runtime():
-    runner.clear_caches()
-    runner.disable_persistent_cache()
-    runner.set_keep_going(False)
-    yield
-    runner.clear_caches()
-    runner.disable_persistent_cache()
-    runner.set_keep_going(False)
 
 
 def _space(values=(0.1, 0.3)):
@@ -142,8 +133,9 @@ def test_keep_going_records_failures_as_rows(monkeypatch):
         return real(config)
 
     monkeypatch.setattr(runner, "cached_flow", flaky)
-    runner.set_keep_going(True)
-    result = DseEngine(_space(), objectives=("power", "leakage")).explore()
+    with scope(keep_going=True):
+        result = DseEngine(_space(),
+                           objectives=("power", "leakage")).explore()
     assert len(result.points) == 1
     assert len(result.failures) == 1
     assert result.failures[0].error == "FlowError"
@@ -162,15 +154,15 @@ def test_failures_abort_without_keep_going(monkeypatch):
 
 
 def test_engine_reuses_a_bound_persistent_store(tmp_path):
-    runner.use_persistent_cache(tmp_path / "store")
-    first = DseEngine(_space(), objectives=("power", "leakage")).explore()
+    with scope(store=CheckpointStore(tmp_path / "store")):
+        first = DseEngine(_space(),
+                          objectives=("power", "leakage")).explore()
     assert first.cache_hits == 5 * len(first.front)
-    # Second exploration in a fresh process-state: every evaluation is
+    # Second exploration in a fresh session: every evaluation is
     # already warm in the store.
-    runner.clear_caches()
-    runner.use_persistent_cache(tmp_path / "store")
-    engine = DseEngine(_space(), objectives=("power", "leakage"))
-    second = engine.explore()
+    with scope(Session(store=CheckpointStore(tmp_path / "store"))):
+        engine = DseEngine(_space(), objectives=("power", "leakage"))
+        second = engine.explore()
     assert engine.prewarm_hits == len(second.points)
     assert first.to_json() == second.to_json()
 

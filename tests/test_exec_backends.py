@@ -1,10 +1,10 @@
-"""Parity and selection tests for the pluggable execution backends.
+"""Parity and selection tests for where the engine runs tasks.
 
-The contract: the serial, thread, and process backends are pure
-execution strategies — same task graph in, byte-identical experiment
-rows out, results exchanged through the same checkpoint store.  This
-extends the jobs=1 vs jobs=2 determinism idiom of
-``test_parallel_pool.py`` across the whole backend axis.
+The contract: inline (``jobs=1``) and the process pool (``jobs>1``) are
+pure execution strategies — same task graph in, byte-identical
+experiment rows out, results exchanged through the same checkpoint
+store.  This extends the jobs=1 vs jobs=2 determinism idiom of
+``test_parallel_pool.py``.
 """
 
 from __future__ import annotations
@@ -12,89 +12,70 @@ from __future__ import annotations
 import json
 import os
 
-import pytest
-
 from repro.experiments import runner
 from repro.experiments import table04_45nm_summary as table4
-from repro.parallel import (
-    BACKENDS,
-    ProcessBackend,
-    SerialBackend,
-    TaskGraph,
-    ThreadBackend,
-    make_backend,
-)
+from repro.flow.design_flow import FlowConfig
+from repro.parallel import ParallelEngine, TaskGraph, flow_task
+from repro.runtime.checkpoint import CheckpointStore
 
 SCALE = 0.04
 
 
-@pytest.fixture(autouse=True)
-def _fresh_session():
-    runner.clear_caches()
-    runner.set_keep_going(False)
-    runner.clear_session_errors()
-    yield
-    runner.clear_caches()
-    runner.set_keep_going(False)
-    runner.clear_session_errors()
-
-
-def _rows_via(backend: str, jobs: int):
-    """Prefetch the shared-run table4 graph on one backend, then
+def _rows_via(jobs: int):
+    """Prefetch the shared-run table4 graph on ``jobs`` workers, then
     assemble the rows; returns (rows_digest, engine_report)."""
     runner.clear_caches()
     graph = TaskGraph(table4.declare_tasks(circuits=("fpu",), scale=SCALE))
-    report = runner.prefetch(graph, jobs=jobs, backend=backend)
+    report = runner.prefetch(graph, jobs=jobs)
     rows = table4.run(circuits=("fpu",), scale=SCALE)
     digest = json.dumps(rows, sort_keys=True, default=str)
     return digest, report
 
 
 def test_backends_produce_identical_rows():
-    digest_serial, report_serial = _rows_via("serial", jobs=1)
-    digest_thread, report_thread = _rows_via("thread", jobs=2)
-    digest_process, report_process = _rows_via("process", jobs=2)
+    digest_serial, report_serial = _rows_via(jobs=1)
+    digest_process, report_process = _rows_via(jobs=2)
 
-    assert digest_serial == digest_thread == digest_process
-    for report in (report_serial, report_thread, report_process):
+    assert digest_serial == digest_process
+    for report in (report_serial, report_process):
         assert report.n_ok == len(report.records) == 1
 
-    # serial and thread execute in this very process; the process
-    # backend dispatches to pool workers
+    # jobs=1 executes in this very process; jobs=2 dispatches to pool
+    # workers
     parent = os.getpid()
     assert report_serial.records[0].pid == parent
-    assert report_thread.records[0].pid == parent
     assert report_process.records[0].pid != parent
 
 
-def test_backend_results_flow_through_shared_store():
-    # After a thread-backend prefetch the rows assemble without any
+def test_backend_results_flow_through_shared_store(monkeypatch):
+    # After a process-pool prefetch the rows assemble without any
     # recompute: the cached_* layer sees every task result.
-    digest, report = _rows_via("thread", jobs=2)
+    digest, report = _rows_via(jobs=2)
     assert report.records[0].status == "ok"
+
+    def recompute(*args, **kwargs):
+        raise AssertionError("row assembly recomputed a prefetched run")
+
+    monkeypatch.setattr(runner, "run_iso_performance_comparison", recompute)
+    monkeypatch.setattr(runner, "run_flow", recompute)
     rows_again = table4.run(circuits=("fpu",), scale=SCALE)
     assert json.dumps(rows_again, sort_keys=True, default=str) == digest
 
 
-def test_make_backend_selection_rules():
-    assert isinstance(make_backend(None, jobs=1), SerialBackend)
-    assert isinstance(make_backend(None, jobs=4), ProcessBackend)
-    assert isinstance(make_backend("serial", jobs=8), SerialBackend)
-    assert isinstance(make_backend("thread"), ThreadBackend)
-    assert isinstance(make_backend("process"), ProcessBackend)
-    # an already-built backend passes through untouched
-    backend = ThreadBackend()
-    assert make_backend(backend) is backend
-
-
-def test_make_backend_unknown_name_raises():
-    with pytest.raises(ValueError, match="unknown execution backend"):
-        make_backend("fibers")
-    assert set(BACKENDS) == {"serial", "thread", "process"}
-
-
-def test_backend_describe_names():
-    for name, cls in BACKENDS.items():
-        backend = cls()
-        assert backend.name == name
-        assert name in backend.describe()
+def test_make_backend_selection_rules(tmp_path):
+    # Where tasks run follows from jobs alone: 1 runs inline in this
+    # process, more run on worker processes.  A task whose result is
+    # already in the store returns at once, carrying the pid it ran in.
+    store = CheckpointStore(tmp_path)
+    specs = [flow_task(FlowConfig(circuit="fpu", scale=s))
+             for s in (0.04, 0.05)]
+    for spec in specs:
+        store.store(spec.key, "warm")
+    parent = os.getpid()
+    inline = ParallelEngine(store=store, jobs=1,
+                            warm_libraries=False).execute(TaskGraph(specs))
+    pooled = ParallelEngine(store=store, jobs=2,
+                            warm_libraries=False).execute(TaskGraph(specs))
+    assert all(r.cached for r in inline.records + pooled.records)
+    assert {r.pid for r in inline.records} == {parent}
+    assert parent not in {r.pid for r in pooled.records}

@@ -17,29 +17,17 @@ from repro.flow.design_flow import (
     run_flow,
 )
 from repro.runtime import faults
+from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.faults import ALWAYS, FaultSpec
 from repro.runtime.supervisor import (
     StagePolicy,
     StageSupervisor,
     use_supervisor,
 )
+from repro.session import scope
 
 # Small, fast, naturally congestion-free configuration.
 SMALL = dict(circuit="fpu", scale=0.06)
-
-
-@pytest.fixture(autouse=True)
-def _clean_runtime():
-    runner.clear_caches()
-    runner.set_keep_going(False)
-    runner.clear_session_errors()
-    runner.disable_persistent_cache()
-    yield
-    runner.clear_caches()
-    runner.set_keep_going(False)
-    runner.clear_session_errors()
-    runner.disable_persistent_cache()
-    faults.reset()
 
 
 def _congestion_fault(**kwargs):
@@ -121,61 +109,62 @@ class _FakeResult:
 def test_resume_skips_recomputation_entirely(tmp_path, monkeypatch):
     """A killed bench session restarted with --resume completes without
     recomputing any checkpointed flow run: zero run_flow calls."""
-    runner.use_persistent_cache(tmp_path)
-    config = FlowConfig(**SMALL)
+    with scope(store=CheckpointStore(tmp_path)):
+        config = FlowConfig(**SMALL)
 
-    calls = []
+        calls = []
 
-    def fake_run_flow(cfg):
-        calls.append(cfg)
-        return _FakeResult("computed")
+        def fake_run_flow(cfg):
+            calls.append(cfg)
+            return _FakeResult("computed")
 
-    monkeypatch.setattr(runner, "run_flow", fake_run_flow)
-    first = runner.cached_flow(config)
-    assert len(calls) == 1
-    assert first.tag == "computed"
+        monkeypatch.setattr(runner, "run_flow", fake_run_flow)
+        first = runner.cached_flow(config)
+        assert len(calls) == 1
+        assert first.tag == "computed"
 
-    # Simulate the process dying: all in-memory memoization is lost.
-    runner.clear_caches()
+        # Simulate the process dying: all in-memory memoization is lost.
+        runner.clear_caches()
 
-    def exploding_run_flow(cfg):
-        raise AssertionError("run_flow must not be called on resume")
+        def exploding_run_flow(cfg):
+            raise AssertionError("run_flow must not be called on resume")
 
-    monkeypatch.setattr(runner, "run_flow", exploding_run_flow)
-    resumed = runner.cached_flow(FlowConfig(**SMALL))
-    assert resumed.tag == "computed"
+        monkeypatch.setattr(runner, "run_flow", exploding_run_flow)
+        resumed = runner.cached_flow(FlowConfig(**SMALL))
+        assert resumed.tag == "computed"
 
 
 def test_resume_recomputes_after_corruption(tmp_path, monkeypatch):
-    store = runner.use_persistent_cache(tmp_path)
-    config = FlowConfig(**SMALL)
-    calls = []
-    monkeypatch.setattr(
-        runner, "run_flow",
-        lambda cfg: calls.append(cfg) or _FakeResult("v"))
-    runner.cached_flow(config)
-    runner.clear_caches()
+    store = CheckpointStore(tmp_path)
+    with scope(store=store):
+        config = FlowConfig(**SMALL)
+        calls = []
+        monkeypatch.setattr(
+            runner, "run_flow",
+            lambda cfg: calls.append(cfg) or _FakeResult("v"))
+        runner.cached_flow(config)
+        runner.clear_caches()
 
-    path = store.path_for(runner.flow_key(config))
-    data = bytearray(path.read_bytes())
-    data[len(data) // 2] ^= 0xFF
-    path.write_bytes(bytes(data))
+        path = store.path_for(runner.flow_key(config))
+        data = bytearray(path.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        path.write_bytes(bytes(data))
 
-    runner.cached_flow(config)          # corrupt entry -> recompute
-    assert len(calls) == 2
+        runner.cached_flow(config)          # corrupt entry -> recompute
+        assert len(calls) == 2
 
 
 def test_comparison_checkpointing(tmp_path, monkeypatch):
-    runner.use_persistent_cache(tmp_path)
-    calls = []
-    monkeypatch.setattr(
-        runner, "run_iso_performance_comparison",
-        lambda circuit, **kw: calls.append(circuit) or _FakeResult("cmp"))
-    runner.cached_comparison("fpu", scale=0.06)
-    runner.clear_caches()
-    resumed = runner.cached_comparison("fpu", scale=0.06)
-    assert calls == ["fpu"]
-    assert resumed.tag == "cmp"
+    with scope(store=CheckpointStore(tmp_path)):
+        calls = []
+        monkeypatch.setattr(
+            runner, "run_iso_performance_comparison",
+            lambda circuit, **kw: calls.append(circuit) or _FakeResult("cmp"))
+        runner.cached_comparison("fpu", scale=0.06)
+        runner.clear_caches()
+        resumed = runner.cached_comparison("fpu", scale=0.06)
+        assert calls == ["fpu"]
+        assert resumed.tag == "cmp"
 
 
 # -- keep-going degradation (--keep-going) --------------------------------
@@ -183,15 +172,15 @@ def test_comparison_checkpointing(tmp_path, monkeypatch):
 def test_keep_going_records_error_rows():
     from repro.experiments import table04_45nm_summary
 
-    runner.set_keep_going(True)
-    with faults.inject(FaultSpec(stage="prepare", error="RoutingError",
-                                 times=ALWAYS)):
-        rows = table04_45nm_summary.run()
-    assert len(rows) == 5
-    assert all("error" in row for row in rows)
-    errors = runner.session_errors()
-    assert len(errors) == 5
-    assert all(err.error == "RoutingError" for err in errors)
+    with scope(keep_going=True):
+        with faults.inject(FaultSpec(stage="prepare", error="RoutingError",
+                                     times=ALWAYS)):
+            rows = table04_45nm_summary.run()
+        assert len(rows) == 5
+        assert all("error" in row for row in rows)
+        errors = runner.session_errors()
+        assert len(errors) == 5
+        assert all(err.error == "RoutingError" for err in errors)
 
 
 def test_without_keep_going_failure_aborts():
@@ -228,22 +217,34 @@ def test_cli_without_keep_going_reports_single_error(capsys):
     assert "Traceback" not in captured.err
 
 
+def test_cli_invocation_leaves_no_session_behind(tmp_path):
+    # --resume and --keep-going hold for the invocation only: once
+    # main() returns, no store is bound and keep-going is off.
+    from repro.cli import main
+
+    rc = main(["--resume", "--keep-going", "--checkpoint-dir",
+               str(tmp_path), "whatif", "--list"])
+    assert rc == 0
+    assert runner.persistent_store() is None
+    assert not runner.keep_going_enabled()
+
+
 def test_partial_failure_keeps_good_rows(monkeypatch):
-    runner.set_keep_going(True)
-    good = _FakeResult("good")
-    good_row = {"circuit": "OK", "value": 1}
+    with scope(keep_going=True):
+        good = _FakeResult("good")
+        good_row = {"circuit": "OK", "value": 1}
 
-    def row_fn(item):
-        if item == "bad":
-            raise RoutingError("boom")
-        return good_row
+        def row_fn(item):
+            if item == "bad":
+                raise RoutingError("boom")
+            return good_row
 
-    rows = runner.resilient_rows(["a", "bad", "c"], row_fn)
-    assert rows[0] == good_row
-    assert rows[2] == good_row
-    assert rows[1]["circuit"] == "BAD"
-    assert "RoutingError" in rows[1]["error"]
-    assert len(runner.session_errors()) == 1
+        rows = runner.resilient_rows(["a", "bad", "c"], row_fn)
+        assert rows[0] == good_row
+        assert rows[2] == good_row
+        assert rows[1]["circuit"] == "BAD"
+        assert "RoutingError" in rows[1]["error"]
+        assert len(runner.session_errors()) == 1
 
 
 # -- store degradation mid-run --------------------------------------------
@@ -254,22 +255,23 @@ def test_store_degrades_to_cache_off_during_retry_loop(tmp_path):
     flow — a sick disk costs checkpoints, never the run."""
     from repro.runtime.faults import FsFaultSpec
 
-    store = runner.use_persistent_cache(tmp_path)
-    sup = StageSupervisor()
-    with use_supervisor(sup), faults.inject(
-            _congestion_fault(times=2),
-            FsFaultSpec(kind="enospc", op="store", times=ALWAYS)) as plan:
-        result = run_flow(FlowConfig(**SMALL))
-    # The congestion retries ran to completion despite the dead store.
-    assert sup.journal.outcomes("layout") == ["retried", "retried", "ok"]
-    assert result.utilization_target == pytest.approx(
-        0.80 * CONGESTION_UTIL_STEP ** 2)
-    assert result.power.total_mw > 0.0
-    # The store degraded on the first write and went silent: exactly
-    # one injected fault fired, nothing landed on disk.
-    assert store.degraded
-    assert plan.fs_fired("enospc") == 1
-    assert store.stats()["entries"] == 0
+    store = CheckpointStore(tmp_path)
+    with scope(store=store):
+        sup = StageSupervisor()
+        with use_supervisor(sup), faults.inject(
+                _congestion_fault(times=2),
+                FsFaultSpec(kind="enospc", op="store", times=ALWAYS)) as plan:
+            result = run_flow(FlowConfig(**SMALL))
+        # The congestion retries ran to completion despite the dead store.
+        assert sup.journal.outcomes("layout") == ["retried", "retried", "ok"]
+        assert result.utilization_target == pytest.approx(
+            0.80 * CONGESTION_UTIL_STEP ** 2)
+        assert result.power.total_mw > 0.0
+        # The store degraded on the first write and went silent: exactly
+        # one injected fault fired, nothing landed on disk.
+        assert store.degraded
+        assert plan.fs_fired("enospc") == 1
+        assert store.stats()["entries"] == 0
 
 
 def test_degraded_store_keeps_results_in_memory(tmp_path):
@@ -277,13 +279,13 @@ def test_degraded_store_keeps_results_in_memory(tmp_path):
     usable through the in-process memo, try_store never raises."""
     from repro.runtime.faults import FsFaultSpec
 
-    runner.use_persistent_cache(tmp_path)
-    config = FlowConfig(**SMALL)
-    with faults.inject(FsFaultSpec(kind="enospc", op="store",
-                                   times=ALWAYS)):
-        first = runner.cached_flow(config)
-        again = runner.cached_flow(config)
-    assert again is first               # served from the in-process memo
+    with scope(store=CheckpointStore(tmp_path)):
+        config = FlowConfig(**SMALL)
+        with faults.inject(FsFaultSpec(kind="enospc", op="store",
+                                       times=ALWAYS)):
+            first = runner.cached_flow(config)
+            again = runner.cached_flow(config)
+        assert again is first               # served from the in-process memo
 
 
 # -- stage timeouts / --timeout -------------------------------------------

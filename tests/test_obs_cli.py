@@ -9,20 +9,10 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.cli import main
-from repro.experiments import runner
 
 FLOW_STAGES = ("prepare", "synthesis", "layout", "post_route", "signoff",
                "power")
-
-
-@pytest.fixture(autouse=True)
-def _fresh_session():
-    runner.clear_caches()
-    yield
-    runner.clear_caches()
 
 
 def test_trace_json_round_trips(capsys):

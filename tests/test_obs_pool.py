@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import os
 
-import pytest
-
 from repro.experiments import runner
 from repro.obs import (
     MetricsRegistry,
@@ -24,13 +22,6 @@ from repro.parallel import ParallelEngine, TaskGraph, comparison_task
 from repro.runtime.checkpoint import CheckpointStore
 
 SCALE = 0.04
-
-
-@pytest.fixture(autouse=True)
-def _fresh_session():
-    runner.clear_caches()
-    yield
-    runner.clear_caches()
 
 
 def _traced_run(store, jobs):

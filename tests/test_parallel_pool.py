@@ -7,33 +7,28 @@ circuit.
 
 import json
 import os
+import threading
 
 import pytest
 
 from repro.errors import TaskFailedError, WorkerCrashError
 from repro.experiments import runner
 from repro.experiments import table04_45nm_summary as table4
+from repro.flow.design_flow import FlowConfig, run_flow
+from repro.flow.stagecache import PERSISTED_STAGES, stage_digests
 from repro.parallel import (
     DeferredTasks,
     ParallelEngine,
     TaskGraph,
     comparison_task,
+    flow_task,
 )
 from repro.runtime import faults
 from repro.runtime.checkpoint import CheckpointStore
+from repro.runtime.supervisor import StageSupervisor
+from repro.session import Session, scope
 
 SCALE = 0.04
-
-
-@pytest.fixture(autouse=True)
-def _fresh_session():
-    runner.clear_caches()
-    runner.set_keep_going(False)
-    runner.clear_session_errors()
-    yield
-    runner.clear_caches()
-    runner.set_keep_going(False)
-    runner.clear_session_errors()
 
 
 def _crash_worker(result):
@@ -60,27 +55,42 @@ def test_rows_identical_sequential_vs_parallel_prefetch():
             == json.dumps(rows_par, sort_keys=True, default=str))
 
 
+def _row(result):
+    return json.dumps(result.summary_row(), sort_keys=True, default=str)
+
+
 def test_engine_thread_backend_matches_inline(tmp_path):
-    """The engine produces the same stored result on the thread backend
-    as inline — same store entry, same comparison numbers."""
-    spec = comparison_task("fpu", scale=SCALE)
+    """Threads in one process, each under its own session and store, run
+    flows concurrently: the rows equal sequential runs, and each store
+    holds only its own stage checkpoints."""
+    configs = [FlowConfig(circuit="fpu", scale=SCALE),
+               FlowConfig(circuit="des", scale=SCALE, is_3d=True)]
+    sequential = [_row(run_flow(config)) for config in configs]
 
-    store_a = CheckpointStore(tmp_path / "inline")
-    inline = ParallelEngine(store=store_a, jobs=1)
-    assert [r.status for r in
-            inline.execute(TaskGraph([spec])).records] == ["ok"]
+    stores = [CheckpointStore(tmp_path / str(i)) for i in range(2)]
+    rows = [None, None]
+    start = threading.Barrier(2, timeout=60)
 
-    store_b = CheckpointStore(tmp_path / "threaded")
-    threaded = ParallelEngine(store=store_b, jobs=2, backend="thread")
-    report = threaded.execute(TaskGraph([spec]))
-    assert [r.status for r in report.records] == ["ok"]
-    # thread tasks run in-process
-    assert report.records[0].pid == os.getpid()
+    def worker(i):
+        with scope(Session(store=stores[i],
+                           supervisor=StageSupervisor())):
+            start.wait()
+            rows[i] = _row(run_flow(configs[i]))
 
-    row_a = inline.result(spec).summary_row()
-    row_b = threaded.result(spec).summary_row()
-    assert (json.dumps(row_a, sort_keys=True, default=str)
-            == json.dumps(row_b, sort_keys=True, default=str))
+    threads = [threading.Thread(target=worker, args=(i,)) for i in (0, 1)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=600)
+        assert not thread.is_alive()
+
+    assert rows == sequential
+    for store, config, other in zip(stores, configs, reversed(configs)):
+        own = {stage_digests(config)[stage] for stage in PERSISTED_STAGES}
+        theirs = {stage_digests(other)[stage]
+                  for stage in PERSISTED_STAGES}
+        assert own <= set(store.keys())
+        assert not theirs & set(store.keys())
 
 
 def test_inline_engine_reuses_store_and_serves_results(tmp_path):
@@ -152,23 +162,23 @@ def test_keep_going_prefetch_degrades_to_error_rows():
     # the worker-side exception.
     fail = faults.FaultSpec(stage="layout", error="RoutingError",
                             times=faults.ALWAYS)
-    runner.set_keep_going(True)
-    graph = TaskGraph(table4.declare_tasks(circuits=("fpu", "aes"),
-                                           scale=SCALE))
-    report = runner.prefetch(graph, jobs=2, worker_faults=(fail,),
-                             fault_label_filter="aes")
+    with scope(keep_going=True):
+        graph = TaskGraph(table4.declare_tasks(circuits=("fpu", "aes"),
+                                               scale=SCALE))
+        report = runner.prefetch(graph, jobs=2, worker_faults=(fail,),
+                                 fault_label_filter="aes")
 
-    statuses = {r.label.split(":")[1].split("@")[0]: r.status
-                for r in report.records}
-    assert statuses["fpu"] == "ok" and statuses["aes"] == "failed"
-    assert runner.task_failures()
+        statuses = {r.label.split(":")[1].split("@")[0]: r.status
+                    for r in report.records}
+        assert statuses["fpu"] == "ok" and statuses["aes"] == "failed"
+        assert runner.task_failures()
 
-    rows = table4.run(circuits=("fpu", "aes"), scale=SCALE)
-    assert len(rows) == 2
-    assert "error" not in rows[0]
-    assert "error" in rows[1] and "RoutingError" in rows[1]["error"]
-    errors = runner.session_errors()
-    assert len(errors) == 1 and "aes" in errors[0].label
+        rows = table4.run(circuits=("fpu", "aes"), scale=SCALE)
+        assert len(rows) == 2
+        assert "error" not in rows[0]
+        assert "error" in rows[1] and "RoutingError" in rows[1]["error"]
+        errors = runner.session_errors()
+        assert len(errors) == 1 and "aes" in errors[0].label
 
 
 # The stable part of a TaskRecord: everything except per-run timings and
@@ -211,18 +221,17 @@ def test_keep_going_error_rows_identical_sequential_vs_parallel():
     # raised sequentially inside row assembly or on a pooled worker.
     fail = faults.FaultSpec(stage="layout", error="RoutingError",
                             times=faults.ALWAYS)
-    runner.set_keep_going(True)
 
-    with faults.inject(fail):
+    with scope(keep_going=True), faults.inject(fail):
         rows_seq = table4.run(circuits=("fpu",), scale=SCALE)
-    seq_errors = [e.summary() for e in runner.session_errors()]
-    runner.clear_caches()
-    runner.clear_session_errors()
+        seq_errors = [e.summary() for e in runner.session_errors()]
 
-    graph = TaskGraph(table4.declare_tasks(circuits=("fpu",), scale=SCALE))
-    runner.prefetch(graph, jobs=2, worker_faults=(fail,))
-    rows_par = table4.run(circuits=("fpu",), scale=SCALE)
-    par_errors = [e.summary() for e in runner.session_errors()]
+    with scope(Session(keep_going=True)):
+        graph = TaskGraph(table4.declare_tasks(circuits=("fpu",),
+                                               scale=SCALE))
+        runner.prefetch(graph, jobs=2, worker_faults=(fail,))
+        rows_par = table4.run(circuits=("fpu",), scale=SCALE)
+        par_errors = [e.summary() for e in runner.session_errors()]
 
     assert rows_seq == rows_par
     assert seq_errors == par_errors
@@ -234,12 +243,27 @@ def test_keep_going_reraises_non_repro_worker_failure():
     # must abort too, not hide as an error row.
     bug = faults.FaultSpec(stage="layout", factory=_bug_factory,
                            times=faults.ALWAYS)
-    runner.set_keep_going(True)
-    graph = TaskGraph(table4.declare_tasks(circuits=("fpu",), scale=SCALE))
-    runner.prefetch(graph, jobs=2, worker_faults=(bug,))
+    with scope(keep_going=True):
+        graph = TaskGraph(table4.declare_tasks(circuits=("fpu",),
+                                               scale=SCALE))
+        runner.prefetch(graph, jobs=2, worker_faults=(bug,))
 
-    with pytest.raises(TaskFailedError) as excinfo:
-        table4.run(circuits=("fpu",), scale=SCALE)
-    assert excinfo.value.worker_is_repro is False
-    assert excinfo.value.worker_error == "ValueError"
-    assert not runner.session_errors()
+        with pytest.raises(TaskFailedError) as excinfo:
+            table4.run(circuits=("fpu",), scale=SCALE)
+        assert excinfo.value.worker_is_repro is False
+        assert excinfo.value.worker_error == "ValueError"
+        assert not runner.session_errors()
+
+
+def test_inline_task_faults_leave_the_outer_plan_installed(tmp_path):
+    # A task's own fault plan is scoped to the task: the plan around
+    # the engine is still the active one afterwards.
+    fail = faults.FaultSpec(stage="prepare", error="RoutingError",
+                            times=faults.ALWAYS)
+    with faults.inject() as outer:
+        engine = ParallelEngine(store=CheckpointStore(tmp_path), jobs=1,
+                                keep_going=True, worker_faults=(fail,))
+        report = engine.execute(TaskGraph([flow_task(
+            FlowConfig(circuit="fpu", scale=SCALE))]))
+        assert [r.status for r in report.records] == ["failed"]
+        assert faults.active_plan() is outer

@@ -56,14 +56,11 @@ def test_cache_insert_survives_checkpoint_write_failure(tmp_path):
     # unpicklable) must still land in the in-process memo — a disk
     # problem never discards a computed result.
     from repro.experiments import runner
+    from repro.runtime.checkpoint import CheckpointStore
+    from repro.session import scope
 
-    clear_caches()
-    runner.use_persistent_cache(tmp_path)
-    try:
+    with scope(store=CheckpointStore(tmp_path), flows={}) as session:
         unpicklable = lambda: None       # noqa: E731
-        runner._cache_insert(runner._FLOW_CACHE, "some-key", unpicklable)
-        assert runner._FLOW_CACHE["some-key"] is unpicklable
+        runner._cache_insert(session.flows, "some-key", unpicklable)
+        assert session.flows["some-key"] is unpicklable
         assert runner.persistent_store().stats()["entries"] == 0
-    finally:
-        runner.disable_persistent_cache()
-        clear_caches()

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import PlacementError, RoutingError, TimingError
 from repro.runtime import faults
 from repro.runtime.faults import ALWAYS, FaultPlan, FaultSpec
+from repro.session import scope
 
 
 def test_spec_fires_named_error_for_counted_occurrences():
@@ -87,12 +88,14 @@ def test_inject_context_installs_and_restores():
 
 
 def test_install_and_reset():
-    plan = faults.install(FaultPlan([FaultSpec(stage="s",
-                                               error="RoutingError")]))
-    try:
-        assert faults.active_plan() is plan
-    finally:
-        faults.reset()
+    # The plan is a session field: a scope installs it, and leaving the
+    # scope — by an exception too — resets it.
+    plan = FaultPlan([FaultSpec(stage="s", error="RoutingError")])
+    with pytest.raises(RoutingError):
+        with scope(faults=plan):
+            assert faults.active_plan() is plan
+            faults.check("s")
+    assert faults.active_plan() is not plan
     faults.check("s")
 
 

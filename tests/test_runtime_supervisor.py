@@ -18,9 +18,9 @@ from repro.runtime.supervisor import (
     StageRecord,
     StageSupervisor,
     current_supervisor,
-    install_supervisor,
     use_supervisor,
 )
+from repro.session import scope
 
 
 def make_supervisor(**kwargs):
@@ -218,11 +218,12 @@ def test_install_and_use_supervisor_scoping():
     with use_supervisor(custom):
         assert current_supervisor() is custom
     assert current_supervisor() is default
-    install_supervisor(custom)
-    try:
-        assert current_supervisor() is custom
-    finally:
-        install_supervisor(None)
+    # The supervisor is a session field: a scope installs it, and
+    # leaving the scope — by an exception too — restores the default.
+    with pytest.raises(RuntimeError):
+        with scope(supervisor=custom):
+            assert current_supervisor() is custom
+            raise RuntimeError("leave the scope")
     assert current_supervisor() is default
 
 

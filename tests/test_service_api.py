@@ -284,7 +284,7 @@ def test_job_kinds_are_distinct_keyspaces():
 def test_clean_shutdown_leaves_no_orphans(service_factory):
     """A started service stops completely: socket closed, coordinator
     thread joined, no worker processes left behind."""
-    service = service_factory(jobs=2, backend="process")
+    service = service_factory(jobs=2)
     client = ServiceClient(service.url)
     record = client.run("flow", {"circuit": "ldpc", "scale": SCALE},
                         timeout_s=120)

@@ -16,13 +16,22 @@ import json
 import os
 import threading
 
+import pytest
+
+from repro.experiments import runner
+from repro.obs import trace as obs_trace
 from repro.runtime import faults
+from repro.runtime.checkpoint import CheckpointStore
 from repro.runtime.faults import ALWAYS, FaultSpec, FsFaultSpec
+from repro.runtime.supervisor import current_supervisor
 from repro.service import (
     STATE_DEGRADED,
     STATE_DONE,
+    Coordinator,
+    JobQueue,
     ServiceClient,
 )
+from repro.session import scope
 
 SCALE = 0.04
 
@@ -80,12 +89,12 @@ def test_concurrent_duplicates_race_to_one_execution(service_factory):
 def test_enospc_degrades_jobs_instead_of_500s(service_factory):
     """A full disk flips the service store to cache-off; jobs still
     complete (state ``degraded``, result served from memory) and every
-    endpoint keeps answering 200."""
-    service = service_factory()
-    client = ServiceClient(service.url)
-
+    endpoint keeps answering 200.  The plan is in the session the
+    service starts under, so its jobs run with it."""
     with faults.inject(FsFaultSpec(kind="enospc", op="store",
                                    times=ALWAYS)):
+        service = service_factory()
+        client = ServiceClient(service.url)
         accepted = client.submit("flow", {"circuit": "fpu",
                                           "scale": SCALE})
         record = client.wait(accepted["key"], timeout_s=120)
@@ -114,10 +123,9 @@ def test_enospc_degrades_jobs_instead_of_500s(service_factory):
 def test_torn_write_does_not_fail_jobs(service_factory):
     """A torn checkpoint write (crash mid-write) quarantines the entry;
     the job completes and the store stays healthy."""
-    service = service_factory()
-    client = ServiceClient(service.url)
-
     with faults.inject(FsFaultSpec(kind="torn_write", op="store")) as plan:
+        service = service_factory()
+        client = ServiceClient(service.url)
         record = client.run("flow", {"circuit": "des", "scale": SCALE},
                             timeout_s=120)
         assert plan.fs_fired("torn_write") == 1
@@ -143,15 +151,12 @@ def test_job_ignores_and_preserves_host_process_memos(service_factory):
     """An embedded service must never let host-process memoized results
     satisfy a job (regression: a warm host memo once masked an injected
     worker crash), nor leak the job's own inserts back into the host."""
-    from repro.experiments import runner
-
-    service = service_factory()
-    client = ServiceClient(service.url)
-
     poison = object()   # would blow up row assembly if ever used
     key = runner.comparison_key("fpu", "45nm", SCALE, {})
-    previous = runner.swap_memos(({key: poison}, {}, {}))
-    try:
+    # The service starts under the host session, poisoned memo and all.
+    with scope(comparisons={key: poison}, flows={}) as host:
+        service = service_factory()
+        client = ServiceClient(service.url)
         record = client.run(
             "experiment",
             {"id": "table4", "kwargs": {"circuits": ["fpu"],
@@ -161,13 +166,56 @@ def test_job_ignores_and_preserves_host_process_memos(service_factory):
         assert record["error"] is None
         assert record["result"]["rows"]
 
-        # the host memo is exactly as we left it: the poisoned entry is
-        # still there and the job's real result did not leak in
-        comparison_memo, flow_memo, _ = runner.swap_memos()
-        assert comparison_memo == {key: poison}
-        assert flow_memo == {}
-    finally:
-        runner.swap_memos(previous)
+    # the host memo is exactly as we left it: the poisoned entry is
+    # still there and the job's real result did not leak in
+    assert host.comparisons == {key: poison}
+    assert host.flows == {}
+
+
+@pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
+def test_interrupted_job_leaves_the_host_session_untouched(
+        tmp_path, monkeypatch, interrupt):
+    """A job killed by KeyboardInterrupt/SystemExit propagates it, and
+    the host is left on its own store, keep-going flag, memos and
+    tracer — not the service's."""
+    coordinator = Coordinator(CheckpointStore(tmp_path / "service"),
+                              JobQueue())
+    record, _ = coordinator.submit("flow", {"circuit": "fpu",
+                                            "scale": SCALE})
+
+    def interrupted(record):
+        assert runner.persistent_store() is coordinator.store
+        runner.cached_comparison("fpu", scale=SCALE)   # fills job memos
+        raise interrupt()
+
+    monkeypatch.setattr(coordinator, "_run_kind", interrupted)
+    monkeypatch.setattr(runner, "run_iso_performance_comparison",
+                        lambda circuit, **kwargs: "job-result")
+    host_store = CheckpointStore(tmp_path / "host")
+    tracer = obs_trace.Tracer()
+    memo = {"host-key": "host-result"}
+    with scope(store=host_store, keep_going=False, comparisons=memo,
+               tracer=tracer):
+        with pytest.raises(interrupt):
+            coordinator._execute(record)
+        assert runner.persistent_store() is host_store
+        assert not runner.keep_going_enabled()
+        assert memo == {"host-key": "host-result"}
+        assert obs_trace.current_tracer() is tracer
+
+
+def test_service_jobs_journal_on_their_own_supervisor(service_factory):
+    """Every job runs on a fresh stage supervisor: the host's journal
+    does not grow by a record per stage per job."""
+    host_journal = current_supervisor().journal
+    before = len(host_journal.records)
+    service = service_factory()
+    client = ServiceClient(service.url)
+    for circuit in ("fpu", "fpu", "des"):
+        record = client.run("flow", {"circuit": circuit, "scale": SCALE},
+                            timeout_s=120)
+        assert record["state"] == STATE_DONE
+    assert len(host_journal.records) == before
 
 
 # -- worker crash mid-job --------------------------------------------------
@@ -178,8 +226,7 @@ def test_worker_kill_surfaces_failure_record_in_job(service_factory):
     its coordinator survive to run the next job."""
     crash = FaultSpec(stage="synthesis", factory=_crash_worker,
                       times=ALWAYS)
-    service = service_factory(jobs=2, backend="process",
-                              worker_faults=(crash,),
+    service = service_factory(jobs=2, worker_faults=(crash,),
                               max_crash_retries=1)
     client = ServiceClient(service.url)
 

@@ -13,12 +13,6 @@ from repro.runtime.checkpoint import STALE_TMP_S, CheckpointStore
 from repro.runtime.faults import ALWAYS, FsFaultSpec
 
 
-@pytest.fixture(autouse=True)
-def _reset_faults():
-    yield
-    faults.reset()
-
-
 def _backdate(path, age_s):
     stamp = time.time() - age_s
     os.utime(path, (stamp, stamp))
